@@ -16,7 +16,7 @@ from .construct import (
     build_square,
     diagonal_constraints,
     editor_square,
-    family_figure,
+    magic_figure,
     solve_assignments,
 )
 from .enumeration import (
@@ -27,7 +27,7 @@ from .enumeration import (
     oracle_search,
 )
 from .model import Square, ValueAssignment
-from .verify import VerificationReport, Verdict, verify_magic, verify_orthogonality
+from .verify import VerificationReport, Verdict, verify_magic
 
 
 class SquareParseError(ValueError):
@@ -102,13 +102,13 @@ def _parse_structured(text: str) -> SquareDocument:
         if not isinstance(row, list):
             raise SquareParseError(f"'cells' row {i} is not a list")
         for j, value in enumerate(row):
-            if not isinstance(value, int) or isinstance(value, bool):
+            if type(value) is not int:
                 raise SquareParseError(
                     f"cell ({i}, {j}) is not an integer: {value!r}"
                 )
         cells.append(tuple(row))
     order = data.get("order", len(cells))
-    if not isinstance(order, int) or order != len(cells):
+    if type(order) is not int or order != len(cells):
         raise SquareParseError(
             f"'order' is {order!r} but 'cells' has {len(cells)} rows"
         )
@@ -119,15 +119,24 @@ def _parse_structured(text: str) -> SquareDocument:
                 f"found {len(row)}"
             )
     family = data.get("family")
-    latin = data.get("latin_values")
-    greek = data.get("greek_values")
+    if "family" in data and not isinstance(family, str):
+        raise SquareParseError(f"'family' must be a string, got {family!r}")
     return SquareDocument(
         order=order,
         cells=tuple(cells),
-        family=family if isinstance(family, str) else None,
-        latin_values=tuple(latin) if isinstance(latin, list) else None,
-        greek_values=tuple(greek) if isinstance(greek, list) else None,
+        family=family,
+        latin_values=_letter_values(data, "latin_values"),
+        greek_values=_letter_values(data, "greek_values"),
     )
+
+
+def _letter_values(data: dict, key: str) -> tuple[int, ...] | None:
+    if key not in data:
+        return None
+    values = data[key]
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise SquareParseError(f"'{key}' must be a list of integers")
+    return tuple(values)
 
 
 def _grid_text(cells) -> str:
@@ -223,10 +232,20 @@ def _render_census(result: FamilyCensus, fmt: str) -> str:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
+    """The text of a file or of stdin ('-'), decoded as strict UTF-8."""
+    if path != "-":
+        with open(path, "rb") as handle:
+            data = handle.read()
+    elif hasattr(sys.stdin, "buffer"):
+        data = sys.stdin.buffer.read()
+    else:  # a text stream with no bytes under it is already decoded
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SquareParseError(
+            f"input is not UTF-8: {exc.reason} at byte offset {exc.start}"
+        ) from None
 
 
 def _csv_ints(text: str, flag: str) -> tuple[int, ...]:
@@ -238,25 +257,26 @@ def _csv_ints(text: str, flag: str) -> tuple[int, ...]:
         ) from None
 
 
-def _known_family(family_id: str) -> str:
-    if family_id not in FAMILIES:
-        known = ", ".join(FAMILIES)
-        raise ValueError(f"unknown family {family_id!r} (known: {known})")
-    return family_id
+def _print_squares(squares, fmt: str, header: dict) -> None:
+    """Grids separated by blank lines, streamed, or one structured document."""
+    if fmt == "structured":
+        listed = [[list(row) for row in square.cells] for square in squares]
+        print(_json_text({**header, "count": len(listed), "squares": listed}))
+        return
+    for k, square in enumerate(squares):
+        if k:
+            print()
+        print(_grid_text(square.cells))
 
 
 def _cmd_gen(args) -> int:
-    family_id = _known_family(args.family)
-    if family_id == "e6.editor":
-        if args.latin is not None or args.greek is not None:
-            raise ValueError("e6.editor is a fixed square and takes no letter values")
+    family = FAMILIES.get(args.family)
+    no_values = args.latin is None and args.greek is None and args.variant == "c"
+    if family is not None and not family.figures and no_values:
         square = editor_square()
-        print(render(SquareDocument(square.order, square.cells, family=family_id), args.format))
+        print(render(SquareDocument(square.order, square.cells, family=args.family), args.format))
         return 0
-    figure = family_figure(family_id, variant=args.variant)
-    orth = verify_orthogonality(figure)
-    if not orth.ok:
-        raise OrthogonalityError(orth)
+    figure = magic_figure(args.family, args.variant)
     if (args.latin is None) != (args.greek is None):
         raise ValueError("provide both --latin and --greek, or neither")
     if args.latin is None:
@@ -264,16 +284,16 @@ def _cmd_gen(args) -> int:
             solve_assignments(diagonal_constraints(figure), figure.order), None
         )
         if assignment is None:
-            raise ValueError(f"family {family_id} admits no satisfying assignment")
+            raise ValueError(f"family {args.family} admits no satisfying assignment")
     else:
         assignment = ValueAssignment(
             _csv_ints(args.latin, "--latin"), _csv_ints(args.greek, "--greek")
         )
-    square = build_square(family_id, assignment, variant=args.variant)
+    square = build_square(args.family, assignment, variant=args.variant)
     doc = SquareDocument(
         order=square.order,
         cells=square.cells,
-        family=family_id,
+        family=args.family,
         latin_values=assignment.latin_values,
         greek_values=assignment.greek_values,
     )
@@ -288,43 +308,32 @@ def _cmd_verify(args) -> int:
     return 0 if report.verdict is Verdict.MAGIC else 1
 
 
-def _cmd_enumerate(args) -> int:
-    family_id = _known_family(args.family)
-    if family_id == "e6.paired":
-        raise OrthogonalityError(verify_orthogonality(family_figure(family_id)))
-    if family_id == "e6.editor":
-        raise ValueError("e6.editor is a single fixed square; use gen")
-    if args.count_only:
-        print(render(census(family_id, variant=args.variant), args.format))
-        return 0
+def _dihedral_representatives(squares):
+    """The first square of each symmetry class, in input order."""
     seen: set = set()
-    emitted = 0
-    collected = []
-    for square in enumerate_family(family_id, variant=args.variant):
-        if args.dedup == "dihedral":
-            key = canonicalize(square).square.cells
-            if key in seen:
-                continue
+    for square in squares:
+        key = canonicalize(square).square.cells
+        if key not in seen:
             seen.add(key)
-        if args.format == "structured":
-            collected.append([list(row) for row in square.cells])
-        else:
-            if emitted:
-                print()
-            print(_grid_text(square.cells))
-        emitted += 1
-    if args.format == "structured":
-        print(_json_text({"family": family_id, "count": emitted, "squares": collected}))
+            yield square
+
+
+def _cmd_enumerate(args) -> int:
+    if args.count_only:
+        print(render(census(args.family, variant=args.variant), args.format))
+        return 0
+    squares = enumerate_family(args.family, variant=args.variant)
+    if args.dedup == "dihedral":
+        squares = _dihedral_representatives(squares)
+    _print_squares(squares, args.format, {"family": args.family})
     return 0
 
 
 def _cmd_constraints(args) -> int:
-    family_id = _known_family(args.family)
-    figure = family_figure(family_id, variant=args.variant)
-    constraints = diagonal_constraints(figure)
+    constraints = diagonal_constraints(magic_figure(args.family, args.variant))
     if args.format == "structured":
         payload = {
-            "family": family_id,
+            "family": args.family,
             "constraints": [
                 {
                     "text": str(c),
@@ -346,28 +355,17 @@ def _cmd_constraints(args) -> int:
 
 def _cmd_oracle(args) -> int:
     squares = oracle_search(args.order)
+    if args.count_only:
+        if args.format == "structured":
+            print(_json_text({"order": args.order, "count": len(squares)}))
+        else:
+            print(f"order: {args.order}")
+            print(f"squares: {len(squares)}")
+        return 0
     ordered = sorted(
         squares, key=lambda s: (canonicalize(s).square.cells, s.cells)
     )
-    if args.count_only:
-        if args.format == "structured":
-            print(_json_text({"order": args.order, "count": len(ordered)}))
-        else:
-            print(f"order: {args.order}")
-            print(f"squares: {len(ordered)}")
-        return 0
-    if args.format == "structured":
-        payload = {
-            "order": args.order,
-            "count": len(ordered),
-            "squares": [[list(row) for row in s.cells] for s in ordered],
-        }
-        print(_json_text(payload))
-        return 0
-    for k, square in enumerate(ordered):
-        if k:
-            print()
-        print(_grid_text(square.cells))
+    _print_squares(ordered, args.format, {"order": args.order})
     return 0
 
 
@@ -388,6 +386,9 @@ _COMMANDS = {
 }
 
 
+_VARIANTS = sorted({variant for f in FAMILIES.values() for variant in f.figures})
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latinmagic",
@@ -400,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="family id, see 'families'")
     p.add_argument("--latin", help="comma-separated Latin letter values in letter order")
     p.add_argument("--greek", help="comma-separated Greek letter values in letter order")
-    p.add_argument("--variant", choices=("c", "d"), default="c")
+    p.add_argument("--variant", choices=_VARIANTS, default="c")
     p.add_argument("--format", choices=("text", "structured"), default="text")
 
     p = sub.add_parser("verify", help="audit a square from a file or '-' (stdin)")
@@ -411,12 +412,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--dedup", choices=("none", "dihedral"), default="none")
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--variant", choices=("c", "d"), default="c")
+    p.add_argument("--variant", choices=_VARIANTS, default="c")
     p.add_argument("--format", choices=("text", "structured"), default="text")
 
     p = sub.add_parser("constraints", help="show a family's letter-value conditions")
     p.add_argument("--family", required=True)
-    p.add_argument("--variant", choices=("c", "d"), default="c")
+    p.add_argument("--variant", choices=_VARIANTS, default="c")
     p.add_argument("--format", choices=("text", "structured"), default="text")
 
     p = sub.add_parser("oracle", help="exhaustively list all magic squares of an order")

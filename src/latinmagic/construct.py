@@ -8,7 +8,7 @@ the figure yields magic squares.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -77,7 +77,7 @@ class OrthogonalityError(ValueError):
             f"{pair_name(pair)} at {', '.join(map(str, places))}"
             for pair, places in report.duplicate_pairs
         )
-        super().__init__(f"figure repeats letter pairs: {dups}")
+        super().__init__(f"figure repeats letter pairs: {dups}, so it is not enumerable")
 
 
 def _mirror(axis: Axis, x: int):
@@ -393,57 +393,67 @@ def _pair_grid(text: str) -> SuperposedGrid:
     return SuperposedGrid(cells)
 
 
-_L3_REFLECT = _letter_grid("""
+def _mirrored(latin: SymbolGrid, axis: Axis) -> SuperposedGrid:
+    """A Latin grid superposed on its own mirror image as the Greek part."""
+    return superpose(latin, reflect_greek(latin, axis))
+
+
+def _shifted(figure: SuperposedGrid) -> SuperposedGrid:
+    """A figure with its first column moved to the end."""
+    return rotate_lines(figure, "columns", -1)
+
+
+_E3_REFLECT = _mirrored(_letter_grid("""
 a b c
 b c a
 c a b
-""")
+"""), Axis.MIDDLE_COLUMN)
 
-_L4_DIAG_C = _letter_grid("""
+_E4_DIAG = _mirrored(_letter_grid("""
 a b c d
 d c b a
 b a d c
 c d a b
-""")
+"""), Axis.MAIN_DIAGONAL)
 
 # The only other order-4 arrangement with both diagonals complete once the
 # first row is fixed: the main diagonal runs a, d, b, c instead of a, c, d, b.
-_L4_DIAG_D = _letter_grid("""
+_E4_DIAG_D = _mirrored(_letter_grid("""
 a b c d
 c d a b
 d c b a
 b a d c
-""")
+"""), Axis.MAIN_DIAGONAL)
 
-_L4_BLOCK = _letter_grid("""
+_E4_BLOCK = _mirrored(_letter_grid("""
 a a d d
 d d a a
 b b c c
 c c b b
-""")
+"""), Axis.MAIN_DIAGONAL)
 
-_L4_INTERLEAVE = _letter_grid("""
+_E4_INTERLEAVE = _mirrored(_letter_grid("""
 a d a d
 b c b c
 d a d a
 c b c b
-""")
+"""), Axis.MAIN_DIAGONAL)
 
-_L5_DIAG = _letter_grid("""
+_E5_DIAG = _mirrored(_letter_grid("""
 a b c d e
 e c d a b
 d e b c a
 b d a e c
 c a e b d
-""")
+"""), Axis.MIDDLE_COLUMN)
 
-_L5_CENTER = _letter_grid("""
+_E5_CENTER = _mirrored(_letter_grid("""
 c d e a b
 b c d e a
 a b c d e
 e a b c d
 d e a b c
-""")
+"""), Axis.MIDDLE_ROW)
 
 _E6_PAIRED = _pair_grid("""
 aα aζ aβ fε fγ fδ
@@ -466,68 +476,58 @@ _EDITOR_CELLS = (
 
 @dataclass(frozen=True)
 class Family:
-    """A named figure family: its id, order, and a one-line description."""
+    """A named family: id, order, summary and variant -> figure ({} if fixed)."""
 
     family_id: str
     order: int
     summary: str
+    figures: dict[str, SuperposedGrid] = field(default_factory=dict, hash=False)
 
 
 FAMILIES: dict[str, Family] = {
     f.family_id: f
     for f in (
-        Family("e3.reflect", 3, "Greek part mirrors the Latin part across the middle column"),
-        Family("e3.rotated", 3, "e3.reflect with its first column moved to the end"),
-        Family("e4.diag", 4, "both diagonals complete; mirrored across the main diagonal (variants c and d)"),
-        Family("e4.rotated", 4, "e4.diag with its first column moved to the end"),
-        Family("e4.block", 4, "rows pair two letters; mirrored across the main diagonal"),
-        Family("e4.interleave", 4, "rows alternate two letters; mirrored across the main diagonal"),
-        Family("e5.diag", 5, "both diagonals complete; mirrored across the middle column"),
-        Family("e5.rotated", 5, "e5.diag with its first column moved to the end"),
-        Family("e5.center", 5, "main diagonal repeats one letter; mirrored across the middle row"),
-        Family("e6.paired", 6, "letters paired by rows and columns; repeats two pairs, kept as a negative fixture"),
+        Family("e3.reflect", 3, "Greek part mirrors the Latin part across the middle column", {"c": _E3_REFLECT}),
+        Family("e3.rotated", 3, "e3.reflect with its first column moved to the end", {"c": _shifted(_E3_REFLECT)}),
+        Family("e4.diag", 4, "both diagonals complete; mirrored across the main diagonal (variants c and d)", {"c": _E4_DIAG, "d": _E4_DIAG_D}),
+        Family("e4.rotated", 4, "e4.diag with its first column moved to the end", {"c": _shifted(_E4_DIAG)}),
+        Family("e4.block", 4, "rows pair two letters; mirrored across the main diagonal", {"c": _E4_BLOCK}),
+        Family("e4.interleave", 4, "rows alternate two letters; mirrored across the main diagonal", {"c": _E4_INTERLEAVE}),
+        Family("e5.diag", 5, "both diagonals complete; mirrored across the middle column", {"c": _E5_DIAG}),
+        Family("e5.rotated", 5, "e5.diag with its first column moved to the end", {"c": _shifted(_E5_DIAG)}),
+        Family("e5.center", 5, "main diagonal repeats one letter; mirrored across the middle row", {"c": _E5_CENTER}),
+        Family("e6.paired", 6, "letters paired by rows and columns; repeats two pairs, kept as a negative fixture", {"c": _E6_PAIRED}),
         Family("e6.editor", 6, "one fixed order-6 magic square with no free letter values"),
     )
 }
 
-_REFLECTED: dict[str, tuple[SymbolGrid, Axis]] = {
-    "e3.reflect": (_L3_REFLECT, Axis.MIDDLE_COLUMN),
-    "e4.block": (_L4_BLOCK, Axis.MAIN_DIAGONAL),
-    "e4.interleave": (_L4_INTERLEAVE, Axis.MAIN_DIAGONAL),
-    "e5.diag": (_L5_DIAG, Axis.MIDDLE_COLUMN),
-    "e5.center": (_L5_CENTER, Axis.MIDDLE_ROW),
-}
-
-_ROTATED: dict[str, str] = {
-    "e3.rotated": "e3.reflect",
-    "e4.rotated": "e4.diag",
-    "e5.rotated": "e5.diag",
-}
-
 
 def family_figure(family_id: str, variant: str = "c") -> SuperposedGrid:
-    """The lettered pair grid of a family, built by its own rule."""
-    if family_id not in FAMILIES:
+    """The lettered pair grid of one variant of a family."""
+    family = FAMILIES.get(family_id)
+    if family is None:
         known = ", ".join(FAMILIES)
         raise ValueError(f"unknown family {family_id!r} (known: {known})")
-    if family_id == "e6.editor":
+    if not family.figures:
         raise ValueError(
-            "e6.editor is a fixed numeric square with no letter figure; "
-            "use editor_square()"
+            f"{family_id} is a fixed square, not enumerable; use gen without "
+            "letter values or variant, or editor_square()"
         )
-    if variant not in ("c", "d"):
-        raise ValueError(f"variant must be 'c' or 'd', got {variant!r}")
-    if variant == "d" and family_id != "e4.diag":
-        raise ValueError("variant 'd' only applies to e4.diag")
-    if family_id == "e6.paired":
-        return _E6_PAIRED
-    if family_id == "e4.diag":
-        latin = _L4_DIAG_D if variant == "d" else _L4_DIAG_C
-        return superpose(latin, reflect_greek(latin, Axis.MAIN_DIAGONAL))
-    if family_id in _ROTATED:
-        return rotate_lines(family_figure(_ROTATED[family_id]), "columns", -1)
-    latin, axis = _REFLECTED[family_id]
-    return superpose(latin, reflect_greek(latin, axis))
+    if variant not in family.figures:
+        raise ValueError(
+            f"variant {variant!r} does not apply to {family_id} "
+            f"(variants: {', '.join(family.figures)})"
+        )
+    return family.figures[variant]
+
+
+def magic_figure(family_id: str, variant: str = "c") -> SuperposedGrid:
+    """family_figure, raising OrthogonalityError if it repeats a letter pair."""
+    figure = family_figure(family_id, variant)
+    orth = verify_orthogonality(figure)
+    if not orth.ok:
+        raise OrthogonalityError(orth)
+    return figure
 
 
 def editor_square() -> Square:
@@ -540,14 +540,10 @@ def build_square(
 ) -> Square:
     """Evaluate a family figure under an assignment, checking preconditions.
 
-    The figure must use each letter pair exactly once (e6.paired never does,
-    and is always reported through OrthogonalityError) and the assignment
-    must satisfy every line constraint of the figure.
+    The figure must use each letter pair exactly once (see magic_figure)
+    and the assignment must satisfy every line constraint of the figure.
     """
-    figure = family_figure(family_id, variant=variant)
-    orth = verify_orthogonality(figure)
-    if not orth.ok:
-        raise OrthogonalityError(orth)
+    figure = magic_figure(family_id, variant)
     if figure.order != assignment.order:
         raise ValueError(
             f"family {family_id} has order {figure.order}, assignment has "

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .construct import diagonal_constraints, family_figure, solve_assignments
+from .construct import diagonal_constraints, magic_figure, solve_assignments
 from .model import Square, evaluate, magic_constant
 from .verify import Verdict, verify_magic
 
@@ -62,13 +62,11 @@ def enumerate_family(family_id: str, variant: str = "c") -> Iterator[Square]:
     """All squares a family can produce, one per satisfying assignment.
 
     Squares come out in the solver's lexicographic assignment order and each
-    is re-verified before it is emitted.  The two order-6 entries are not
-    enumerable: e6.paired cannot produce magic squares and e6.editor is a
-    single constant.
+    is re-verified before it is emitted.  A family without a figure that
+    can make magic squares is not enumerable and raises ValueError on the
+    first step (OrthogonalityError for a figure that repeats a letter pair).
     """
-    if family_id in ("e6.paired", "e6.editor"):
-        raise ValueError(f"family {family_id} is not enumerable")
-    figure = family_figure(family_id, variant=variant)
+    figure = magic_figure(family_id, variant)
     constraints = diagonal_constraints(figure)
     for assignment in solve_assignments(constraints, figure.order):
         square = evaluate(figure, assignment)

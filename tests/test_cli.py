@@ -83,6 +83,12 @@ def test_parse_structured_errors():
         '{"cells": [[1, 2], [3]]}',
         '{"cells": [[1, "a"], [3, 4]]}',
         '{"cells": "nope"}',
+        '{"order": true, "cells": [[1]]}',
+        '{"cells": [[1]], "latin_values": ["x", 1.5]}',
+        '{"cells": [[1]], "greek_values": [true]}',
+        '{"cells": [[1]], "latin_values": 0}',
+        '{"cells": [[1]], "greek_values": "1"}',
+        '{"cells": [[1]], "family": 3}',
     )
     for text in cases:
         with pytest.raises(SquareParseError):
@@ -289,6 +295,17 @@ def test_verify_missing_file(capsys):
     assert "error:" in err
 
 
+def test_verify_rejects_bytes_that_are_not_utf8(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"1\n\xff\xfe\n")))
+    code, out, err = cli(capsys, "verify")
+    assert (code, out) == (2, "")
+    assert "not UTF-8" in err
+    assert "byte offset 2" in err
+    path = tmp_path / "square.txt"
+    path.write_bytes(b"1\n\xff\xfe\n")
+    assert cli(capsys, "verify", str(path)) == (code, out, err)
+
+
 def test_verify_bad_input(capsys, monkeypatch):
     code, _, err = cli(
         capsys, "verify", "-", stdin="1 2\n3\n", monkeypatch=monkeypatch
@@ -388,8 +405,57 @@ def test_constraints_structured(capsys):
     assert payload["constraints"][0]["greek"] == [-1, 0, -1, 2, 0]
 
 
+def test_constraints_paired_family_exits_one(capsys):
+    code, out, err = cli(capsys, "constraints", "--family", "e6.paired")
+    assert (code, out) == (1, "")
+    assert "repeats letter pairs" in err
+
+
 def test_constraints_unknown_family(capsys):
     assert cli(capsys, "constraints", "--family", "nope")[0] == 2
+
+
+# --- one exit code per family, whatever the subcommand ---------------------------
+
+EXIT_CODE_COMMANDS = (
+    ("gen",),
+    ("gen", "--variant", "d"),
+    ("constraints",),
+    ("constraints", "--variant", "d"),
+    ("enumerate", "--count-only"),
+    ("enumerate", "--count-only", "--variant", "d"),
+)
+
+EXIT_CODES = {
+    "e3.reflect": (0, 2, 0, 2, 0, 2),
+    "e3.rotated": (0, 2, 0, 2, 0, 2),
+    "e4.diag": (0, 0, 0, 0, 0, 0),
+    "e4.rotated": (0, 2, 0, 2, 0, 2),
+    "e4.block": (0, 2, 0, 2, 0, 2),
+    "e4.interleave": (0, 2, 0, 2, 0, 2),
+    "e5.diag": (0, 2, 0, 2, 0, 2),
+    "e5.rotated": (0, 2, 0, 2, 0, 2),
+    "e5.center": (0, 2, 0, 2, 0, 2),
+    "e6.paired": (1, 2, 1, 2, 1, 2),
+    "e6.editor": (0, 2, 2, 2, 2, 2),
+    "e9.unknown": (2, 2, 2, 2, 2, 2),
+}
+
+
+def test_exit_code_matrix(capsys):
+    assert list(EXIT_CODES)[:-1] == list(FAMILIES)
+    for family_id, expected in EXIT_CODES.items():
+        codes = tuple(
+            cli(capsys, command[0], "--family", family_id, *command[1:])[0]
+            for command in EXIT_CODE_COMMANDS
+        )
+        assert codes == expected, family_id
+
+
+def test_paired_family_fails_before_argument_pairing(capsys):
+    code, _, err = cli(capsys, "gen", "--family", "e6.paired", "--latin", "0,6")
+    assert code == 1
+    assert "repeats letter pairs" in err
 
 
 # --- oracle --------------------------------------------------------------------

@@ -60,6 +60,14 @@ def test_family_listing():
         assert family.summary
 
 
+def test_family_records_hold_figures_of_their_order():
+    for family in FAMILIES.values():
+        for figure in family.figures.values():
+            assert figure.order == family.order, family.family_id
+    assert [f.family_id for f in FAMILIES.values() if not f.figures] == ["e6.editor"]
+    assert len(set(FAMILIES.values())) == len(FAMILIES)
+
+
 @pytest.mark.parametrize("family_id", sorted(FIGURES))
 def test_family_figures_match_transcriptions(family_id):
     assert family_figure(family_id) == pair_grid(FIGURES[family_id])

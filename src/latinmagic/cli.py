@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .construct import (
     FAMILIES,
     OrthogonalityError,
-    build_square,
+    _checked_square,
     diagonal_constraints,
     editor_square,
     magic_figure,
@@ -90,6 +90,10 @@ def _parse_structured(text: str) -> SquareDocument:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SquareParseError(f"invalid structured document: {exc}") from None
+    except RecursionError:
+        raise SquareParseError(
+            "invalid structured document: nested too deeply"
+        ) from None
     if not isinstance(data, dict):
         raise SquareParseError("structured document must be an object")
     if "cells" not in data:
@@ -279,17 +283,16 @@ def _cmd_gen(args) -> int:
     figure = magic_figure(args.family, args.variant)
     if (args.latin is None) != (args.greek is None):
         raise ValueError("provide both --latin and --greek, or neither")
+    constraints = diagonal_constraints(figure)
     if args.latin is None:
-        assignment = next(
-            solve_assignments(diagonal_constraints(figure), figure.order), None
-        )
+        assignment = next(solve_assignments(constraints, figure.order), None)
         if assignment is None:
             raise ValueError(f"family {args.family} admits no satisfying assignment")
     else:
         assignment = ValueAssignment(
             _csv_ints(args.latin, "--latin"), _csv_ints(args.greek, "--greek")
         )
-    square = build_square(args.family, assignment, variant=args.variant)
+    square = _checked_square(args.family, figure, constraints, assignment)
     doc = SquareDocument(
         order=square.order,
         cells=square.cells,

@@ -96,13 +96,145 @@ def census(family_id: str, variant: str = "c") -> FamilyCensus:
     )
 
 
+def _oracle_lines(x: int) -> tuple[tuple[int, ...], ...]:
+    """Cell indices (i*x + j) of the rows, columns, main and anti diagonal."""
+    return (
+        *(tuple(i * x + j for j in range(x)) for i in range(x)),
+        *(tuple(i * x + j for i in range(x)) for j in range(x)),
+        tuple(i * x + i for i in range(x)),
+        tuple(i * x + x - 1 - i for i in range(x)),
+    )
+
+
+def _fill_order(x: int) -> tuple[int, ...]:
+    """The oracle's cell order: corners, the rest of both diagonals, then the rest.
+
+    After the diagonals, each step takes the cell on the line with the fewest
+    empty cells (row-major among ties), so rows and columns close early and
+    their last cells are forced.
+    """
+    last = x - 1
+    order: list[int] = []
+    for i, j in (
+        (0, 0), (0, last), (last, 0), (last, last),
+        *((i, i) for i in range(x)),
+        *((i, last - i) for i in range(x)),
+    ):
+        if i * x + j not in order:
+            order.append(i * x + j)
+    lines = _oracle_lines(x)
+
+    def open_cells(cell: int) -> int:
+        return min(sum(c not in order for c in line) for line in lines if cell in line)
+
+    rest = [c for c in range(x * x) if c not in order]
+    while rest:
+        cell = min(rest, key=open_cells)
+        rest.remove(cell)
+        order.append(cell)
+    return tuple(order)
+
+
+def _frenicle_forms(x: int) -> list[Cells]:
+    """The Frénicle normal form of every order-x magic square; see oracle_search."""
+    target = magic_constant(x)
+    n = x * x
+    last = x - 1
+    order = _fill_order(x)
+    lines = _oracle_lines(x)
+    lines_at = [
+        tuple(li for li, line in enumerate(lines) if cell in line) for cell in order
+    ]
+    # (smaller, larger) cell pairs of the normal form: (0,0) against the
+    # other three corners, then (0,1) against (1,0)
+    less = [(0, last), (0, last * x), (0, n - 1), (1, x)] if x > 1 else []
+    step = {cell: k for k, cell in enumerate(order)}
+    above: list[list[int]] = [[] for _ in order]  # cells this step must exceed
+    below: list[list[int]] = [[] for _ in order]  # cells this step must undercut
+    for small, large in less:
+        if step[small] < step[large]:
+            above[step[large]].append(small)
+        else:
+            below[step[small]].append(large)
+
+    sums = [0] * len(lines)
+    empties = [x] * len(lines)
+    used = [False] * (n + 1)
+    grid = [0] * n
+    forms: list[Cells] = []
+
+    # cheapest feasibility bounds: e distinct values from 1..n sum to at
+    # least 1+2+..+e and at most n+(n-1)+..+(n-e+1)
+    min_fill = [e * (e + 1) // 2 for e in range(x + 1)]
+    max_fill = [e * n - e * (e - 1) // 2 for e in range(x + 1)]
+
+    def fill(k: int) -> None:
+        if k == n:
+            forms.append(tuple(tuple(grid[r * x:(r + 1) * x]) for r in range(x)))
+            return
+        cell = order[k]
+        cell_lines = lines_at[k]
+        lo, hi = 1, n
+        for li in cell_lines:
+            rest = target - sums[li]
+            e = empties[li] - 1
+            if rest - max_fill[e] > lo:
+                lo = rest - max_fill[e]
+            if rest - min_fill[e] < hi:
+                hi = rest - min_fill[e]
+        for c in above[k]:
+            if grid[c] >= lo:
+                lo = grid[c] + 1
+        for c in below[k]:
+            if grid[c] <= hi:
+                hi = grid[c] - 1
+        for v in range(lo, hi + 1):
+            if used[v]:
+                continue
+            for li in cell_lines:
+                # the line's one remaining cell is then determined
+                if empties[li] == 2:
+                    f = target - sums[li] - v
+                    if f == v or used[f]:
+                        break
+            else:
+                grid[cell] = v
+                used[v] = True
+                for li in cell_lines:
+                    sums[li] += v
+                    empties[li] -= 1
+                fill(k + 1)
+                used[v] = False
+                for li in cell_lines:
+                    sums[li] -= v
+                    empties[li] += 1
+
+    fill(0)
+    return forms
+
+
 def oracle_search(x: int) -> set[Square]:
     """Every order-x magic square over 1..x*x, by exhaustive backtracking.
 
-    Fills cells row-major.  A cell completing a line must complete it to the
-    magic constant exactly; other candidates are cut when the line cannot
-    reach the constant with distinct values from 1..x*x.  The search space
-    explodes beyond order 4, so larger orders are rejected.
+    Fill order: the four corners first, then the rest of both diagonals,
+    then at each step the cell on the line with the fewest empty cells, so
+    rows and columns close early and their last cells are forced.
+
+    Normal form: only Frénicle normal forms are searched, in which cell
+    (0,0) is smaller than the other three corners and cell (0,1) is smaller
+    than cell (1,0); each comparison bounds the later-filled of its two
+    cells.  Every class of squares under the eight rotations and reflections
+    has exactly one normal form.  The values are distinct, so one corner is
+    the smallest, and exactly two of the eight symmetries put it at (0,0).
+    Those two are transposes of each other, and transposing swaps (0,1) and
+    (1,0), so exactly one of them has (0,1) < (1,0).  Order 1 has a single
+    cell and no comparisons.
+
+    Each cell's candidates form one integer range: every line through it
+    must still be completable by distinct values from 1..x*x, so a line's
+    last cell is forced.  Expansion: each normal form is mapped by
+    dihedral_images to its whole class.  The search space explodes beyond
+    order 4, so larger orders are rejected.
     """
     if x < 1:
         raise ValueError(f"order must be >= 1, got {x}")
@@ -110,83 +242,9 @@ def oracle_search(x: int) -> set[Square]:
         raise ValueError(
             f"exhaustive search is capped at order {ORACLE_MAX_ORDER}, got {x}"
         )
-    target = magic_constant(x)
-    n = x * x
-
-    # line ids: 0..x-1 rows, x..2x-1 columns, 2x main diag, 2x+1 anti diag
-    lines_at: list[tuple[int, ...]] = []
-    for i in range(x):
-        for j in range(x):
-            ids = [i, x + j]
-            if i == j:
-                ids.append(2 * x)
-            if i + j == x - 1:
-                ids.append(2 * x + 1)
-            lines_at.append(tuple(ids))
-
-    sums = [0] * (2 * x + 2)
-    empties = [x] * (2 * x + 2)
-    used = [False] * (n + 1)
-    grid = [0] * n
-    found: list[Square] = []
-
-    # cheapest feasibility bounds: e distinct values from 1..n sum to at
-    # least 1+2+..+e and at most n+(n-1)+..+(n-e+1)
-    min_fill = [e * (e + 1) // 2 for e in range(x + 1)]
-    max_fill = [e * n - e * (e - 1) // 2 for e in range(x + 1)]
-
-    def fill(pos: int) -> None:
-        if pos == n:
-            found.append(
-                Square(tuple(tuple(grid[r * x:(r + 1) * x]) for r in range(x)))
-            )
-            return
-        cell_lines = lines_at[pos]
-        forced = None
-        for li in cell_lines:
-            if empties[li] == 1:
-                forced = target - sums[li]
-                break
-        if forced is not None:
-            if forced < 1 or forced > n or used[forced]:
-                return
-            candidates = (forced,)
-        else:
-            candidates = tuple(v for v in range(1, n + 1) if not used[v])
-        for v in candidates:
-            ok = True
-            for li in cell_lines:
-                s = sums[li] + v
-                e = empties[li] - 1
-                if e == 0:
-                    if s != target:
-                        ok = False
-                        break
-                elif not s + min_fill[e] <= target <= s + max_fill[e]:
-                    ok = False
-                    break
-                elif e == 1:
-                    # the line's one remaining cell is already determined
-                    f = target - s
-                    if f < 1 or f > n or f == v or used[f]:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            grid[pos] = v
-            used[v] = True
-            for li in cell_lines:
-                sums[li] += v
-                empties[li] -= 1
-            fill(pos + 1)
-            used[v] = False
-            for li in cell_lines:
-                sums[li] -= v
-                empties[li] += 1
-        return
-
-    fill(0)
-    return set(found)
+    return {
+        Square(cells) for form in _frenicle_forms(x) for cells in dihedral_images(form)
+    }
 
 
 @dataclass(frozen=True)

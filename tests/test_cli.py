@@ -1,10 +1,15 @@
 """Command line behavior: parsing, rendering, subcommands, exit codes."""
+import contextlib
 import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latinmagic import FAMILIES, Square, dihedral_images, verify_magic
+from latinmagic import cli as cli_module, construct
 from latinmagic.cli import SquareDocument, SquareParseError, parse_square, render, run
 from helpers import DATA_DIR, load_square
 
@@ -244,6 +249,26 @@ def test_gen_constraint_violation_is_an_input_error(capsys):
     assert "error: assignment violates line constraint: 2γ = α+β" in err
 
 
+def test_gen_builds_its_figure_once(capsys, monkeypatch):
+    calls = {"verify_orthogonality": 0, "diagonal_constraints": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(construct, "verify_orthogonality")
+    counted(construct, "diagonal_constraints")
+    counted(cli_module, "diagonal_constraints")
+    code, out, _ = cli(capsys, "gen", "--family", "e5.center")
+    assert code == 0 and out
+    assert calls == {"verify_orthogonality": 1, "diagonal_constraints": 1}
+
+
 def test_gen_argument_errors(capsys):
     assert cli(capsys, "gen", "--family", "e9.bogus")[0] == 2
     assert cli(capsys, "gen", "--family", "e3.reflect", "--latin", "0,6,3")[0] == 2
@@ -304,6 +329,52 @@ def test_verify_rejects_bytes_that_are_not_utf8(capsys, monkeypatch, tmp_path):
     path = tmp_path / "square.txt"
     path.write_bytes(b"1\n\xff\xfe\n")
     assert cli(capsys, "verify", str(path)) == (code, out, err)
+
+
+def test_verify_rejects_deeply_nested_document(capsys, monkeypatch):
+    code, out, err = cli(
+        capsys, "verify", stdin='{"cells": ' + "[" * 100000,
+        monkeypatch=monkeypatch,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: invalid structured document: nested too deeply\n"
+
+
+def _verify_bytes(data: bytes) -> int:
+    stdin = io.TextIOWrapper(io.BytesIO(data))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        return run(["verify", "-"])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=5),
+    max_leaves=20,
+)
+SQUARE_DOCUMENTS = st.fixed_dictionaries(
+    {"cells": st.lists(st.lists(st.integers(-2, 20), max_size=5), max_size=5)},
+    optional={
+        "order": JSON_VALUES,
+        "family": JSON_VALUES,
+        "latin_values": JSON_VALUES,
+        "greek_values": JSON_VALUES,
+    },
+)
+
+
+@settings(deadline=None)
+@given(st.binary())
+def test_verify_fuzz_bytes(data):
+    assert _verify_bytes(data) in (0, 1, 2)
+
+
+@settings(deadline=None)
+@given(JSON_VALUES | SQUARE_DOCUMENTS)
+def test_verify_fuzz_json(value):
+    assert _verify_bytes(json.dumps(value).encode("utf-8")) in (0, 1, 2)
 
 
 def test_verify_bad_input(capsys, monkeypatch):

@@ -15,6 +15,7 @@ from latinmagic import (
     subset_check,
     verify_magic,
 )
+from latinmagic.enumeration import _fill_order, _frenicle_forms
 from helpers import GOLDENS, load_square
 
 LO_SHU_CELLS = ((2, 9, 4), (7, 5, 3), (6, 1, 8))
@@ -137,6 +138,35 @@ def test_oracle_bounds():
         oracle_search(5)
     with pytest.raises(ValueError, match=">= 1"):
         oracle_search(0)
+
+
+def test_oracle_order_four_has_880_classes():
+    assert len({canonicalize(s) for s in oracle_search(4)}) == 880
+
+
+@pytest.mark.parametrize("x", [1, 2, 3, 4])
+def test_fill_order_visits_each_cell_once(x):
+    order = _fill_order(x)
+    assert sorted(order) == list(range(x * x))
+    last = x - 1
+    corners = {0, last, last * x, x * x - 1}
+    diagonals = {i * x + i for i in range(x)} | {i * x + last - i for i in range(x)}
+    assert set(order[:len(corners)]) == corners
+    assert set(order[:len(diagonals)]) == diagonals
+
+
+@pytest.mark.parametrize("x", [1, 2, 3, 4])
+def test_frenicle_forms_are_pairwise_inequivalent_normal_forms(x):
+    forms = _frenicle_forms(x)
+    last = x - 1
+    for cells in forms:
+        assert verify_magic(Square(cells)).verdict is Verdict.MAGIC
+        if x > 1:
+            corner = cells[0][0]
+            assert corner < min(cells[0][last], cells[last][0], cells[last][last])
+            assert cells[0][1] < cells[1][0]
+    assert len({canonicalize(Square(cells)) for cells in forms}) == len(forms)
+    assert len(forms) == {1: 1, 2: 0, 3: 1, 4: 880}[x]
 
 
 def test_subset_check_passes_for_order_three_families(oracle3):

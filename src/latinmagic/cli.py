@@ -14,6 +14,7 @@ from .construct import (
     FAMILIES,
     OrthogonalityError,
     _checked_square,
+    build_square,
     diagonal_constraints,
     editor_square,
     magic_figure,
@@ -27,11 +28,52 @@ from .enumeration import (
     oracle_search,
 )
 from .model import Square, ValueAssignment
-from .verify import VerificationReport, Verdict, verify_magic
+from .verify import VerificationReport, Verdict, _flat, verify_magic
 
 
 class SquareParseError(ValueError):
     """Input text could not be read as a square."""
+
+
+# CPython's default int_max_str_digits: longer integers are refused on
+# every input path, whatever the interpreter's own setting
+_MAX_DIGITS = 4300
+
+
+def _shorten(token: str) -> str:
+    return token if len(token) <= 40 else f"{token[:16]}...{token[-16:]}"
+
+
+def _too_long(literal: str) -> bool:
+    if len(literal) <= _MAX_DIGITS:
+        return False
+    digits = literal.lstrip("+-")
+    return len(digits) > _MAX_DIGITS and digits.isdigit()
+
+
+def _too_long_error(literal: str, where: str) -> SquareParseError:
+    return SquareParseError(
+        f"integer at {where} has {len(literal.lstrip('+-'))} digits, more "
+        f"than {_MAX_DIGITS}: {_shorten(literal)}"
+    )
+
+
+class _LongInteger:
+    """A JSON integer literal too long to convert, kept for the error message.
+
+    JSON hands literals over without their position, so the structured
+    path reports one where the document's fields are checked.
+    """
+
+    def __init__(self, literal: str) -> None:
+        self.literal = literal
+
+    def __repr__(self) -> str:
+        return f"<{len(self.literal.lstrip('-'))}-digit integer>"
+
+
+def _json_integer(literal: str) -> int | _LongInteger:
+    return _LongInteger(literal) if _too_long(literal) else int(literal)
 
 
 @dataclass(frozen=True)
@@ -74,11 +116,13 @@ def parse_square(text: str) -> SquareDocument:
     for lineno, tokens in rows:
         row = []
         for column, token in enumerate(tokens, start=1):
+            if _too_long(token):
+                raise _too_long_error(token, f"line {lineno}, column {column}")
             try:
                 row.append(int(token))
             except ValueError:
                 raise SquareParseError(
-                    f"invalid integer {token!r} at line {lineno}, "
+                    f"invalid integer {_shorten(token)!r} at line {lineno}, "
                     f"column {column}"
                 ) from None
         cells.append(tuple(row))
@@ -87,7 +131,7 @@ def parse_square(text: str) -> SquareDocument:
 
 def _parse_structured(text: str) -> SquareDocument:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_json_integer)
     except json.JSONDecodeError as exc:
         raise SquareParseError(f"invalid structured document: {exc}") from None
     except RecursionError:
@@ -106,15 +150,17 @@ def _parse_structured(text: str) -> SquareDocument:
         if not isinstance(row, list):
             raise SquareParseError(f"'cells' row {i} is not a list")
         for j, value in enumerate(row):
+            if isinstance(value, _LongInteger):
+                raise _too_long_error(value.literal, f"cell ({i}, {j})")
             if type(value) is not int:
                 raise SquareParseError(
-                    f"cell ({i}, {j}) is not an integer: {value!r}"
+                    f"cell ({i}, {j}) is not an integer: {_shorten(repr(value))}"
                 )
         cells.append(tuple(row))
     order = data.get("order", len(cells))
     if type(order) is not int or order != len(cells):
         raise SquareParseError(
-            f"'order' is {order!r} but 'cells' has {len(cells)} rows"
+            f"'order' is {_shorten(repr(order))} but 'cells' has {len(cells)} rows"
         )
     for i, row in enumerate(cells):
         if len(row) != order:
@@ -123,24 +169,71 @@ def _parse_structured(text: str) -> SquareDocument:
                 f"found {len(row)}"
             )
     family = data.get("family")
-    if "family" in data and not isinstance(family, str):
-        raise SquareParseError(f"'family' must be a string, got {family!r}")
+    if "family" in data:
+        if not isinstance(family, str):
+            raise SquareParseError(
+                f"'family' must be a string, got {_shorten(repr(family))}"
+            )
+        if family not in FAMILIES:
+            known = ", ".join(FAMILIES)
+            raise SquareParseError(
+                f"'family' {_shorten(repr(family))} is not a known family "
+                f"(known: {known})"
+            )
+        if FAMILIES[family].order != order:
+            raise SquareParseError(
+                f"'family' {family} has order {FAMILIES[family].order}, "
+                f"but 'cells' has {order} rows"
+            )
     return SquareDocument(
         order=order,
         cells=tuple(cells),
         family=family,
-        latin_values=_letter_values(data, "latin_values"),
-        greek_values=_letter_values(data, "greek_values"),
+        latin_values=_letter_values(data, "latin_values", order),
+        greek_values=_letter_values(data, "greek_values", order),
     )
 
 
-def _letter_values(data: dict, key: str) -> tuple[int, ...] | None:
+def _letter_values(data: dict, key: str, order: int) -> tuple[int, ...] | None:
     if key not in data:
         return None
     values = data[key]
     if not isinstance(values, list) or any(type(v) is not int for v in values):
         raise SquareParseError(f"'{key}' must be a list of integers")
+    if len(values) != order:
+        raise SquareParseError(
+            f"'{key}' has {len(values)} values, expected one per letter ({order})"
+        )
     return tuple(values)
+
+
+def _provenance_mismatch(doc: SquareDocument) -> str | None:
+    """Where the cells differ from the square their family and letter values build.
+
+    None when the document names no family or lacks a value list, or when
+    the cells match.  A document carries no variant, so a match with any
+    variant of the family counts.
+    """
+    if doc.family is None or doc.latin_values is None or doc.greek_values is None:
+        return None
+    assignment = ValueAssignment(doc.latin_values, doc.greek_values)
+    # a fixed square has no variants; build_square then says why it fails
+    built, *others = (
+        build_square(doc.family, assignment, variant).cells
+        for variant in FAMILIES[doc.family].figures or ("c",)
+    )
+    if doc.cells == built or doc.cells in others:
+        return None
+    i, j = next(
+        (i, j)
+        for i in range(doc.order)
+        for j in range(doc.order)
+        if doc.cells[i][j] != built[i][j]
+    )
+    return (
+        f"cells do not match family {doc.family} with the given letter "
+        f"values: cell ({i}, {j}) is {doc.cells[i][j]}, expected {built[i][j]}"
+    )
 
 
 def _grid_text(cells) -> str:
@@ -306,16 +399,21 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     doc = parse_square(_read_input(args.input))
+    mismatch = _provenance_mismatch(doc)
     report = verify_magic(Square(doc.cells))
     print(render(report, args.format))
+    if mismatch is not None:
+        print(f"error: {mismatch}", file=sys.stderr)
+        return 1
     return 0 if report.verdict is Verdict.MAGIC else 1
 
 
 def _dihedral_representatives(squares):
     """The first square of each symmetry class, in input order."""
+    # one flat tuple per class rather than a tuple of row tuples
     seen: set = set()
     for square in squares:
-        key = canonicalize(square).square.cells
+        key = _flat(canonicalize(square).square.cells)
         if key not in seen:
             seen.add(key)
             yield square

@@ -10,33 +10,23 @@ from typing import Iterator
 
 from .construct import diagonal_constraints, magic_figure, solve_assignments
 from .model import Square, evaluate, magic_constant
-from .verify import Verdict, verify_magic
+from .verify import Verdict, _flat, _geometry, _unflat, verify_magic
 
 ORACLE_MAX_ORDER = 4
 
 Cells = tuple[tuple[int, ...], ...]
 
 
-def _rotate(cells: Cells) -> Cells:
-    x = len(cells)
-    return tuple(
-        tuple(cells[x - 1 - j][i] for j in range(x)) for i in range(x)
-    )
-
-
-def _flip(cells: Cells) -> Cells:
-    return tuple(tuple(reversed(row)) for row in cells)
-
-
 def dihedral_images(cells: Cells) -> tuple[Cells, ...]:
-    """The eight rotations and reflections of a square's cells."""
-    images = []
-    current = cells
-    for _ in range(4):
-        images.append(current)
-        images.append(_flip(current))
-        current = _rotate(current)
-    return tuple(images)
+    """The eight rotations and reflections of a square's cells.
+
+    In order: 0, 1, 2 and 3 clockwise quarter turns, each followed by its
+    left-right mirror image.  The first image is cells itself.
+    """
+    x = len(cells)
+    flat = _flat(cells)
+    pickers = _geometry(x).symmetry_pickers[1:]
+    return (cells, *(_unflat(pick(flat), x) for pick in pickers))
 
 
 @dataclass(frozen=True)
@@ -47,7 +37,13 @@ class CanonicalSquare:
 
 
 def canonicalize(square: Square) -> CanonicalSquare:
-    return CanonicalSquare(Square(min(dihedral_images(square.cells))))
+    """The least of the square's eight images, compared as row-major tuples."""
+    x = square.order
+    flat = _flat(square.cells)
+    least = min(pick(flat) for pick in _geometry(x).symmetry_pickers)
+    if least == flat:  # keep the square's own rows rather than copies
+        return CanonicalSquare(square)
+    return CanonicalSquare(Square(_unflat(least, x)))
 
 
 @dataclass(frozen=True)
@@ -96,16 +92,6 @@ def census(family_id: str, variant: str = "c") -> FamilyCensus:
     )
 
 
-def _oracle_lines(x: int) -> tuple[tuple[int, ...], ...]:
-    """Cell indices (i*x + j) of the rows, columns, main and anti diagonal."""
-    return (
-        *(tuple(i * x + j for j in range(x)) for i in range(x)),
-        *(tuple(i * x + j for i in range(x)) for j in range(x)),
-        tuple(i * x + i for i in range(x)),
-        tuple(i * x + x - 1 - i for i in range(x)),
-    )
-
-
 def _fill_order(x: int) -> tuple[int, ...]:
     """The oracle's cell order: corners, the rest of both diagonals, then the rest.
 
@@ -122,7 +108,7 @@ def _fill_order(x: int) -> tuple[int, ...]:
     ):
         if i * x + j not in order:
             order.append(i * x + j)
-    lines = _oracle_lines(x)
+    lines = _geometry(x).lines
 
     def open_cells(cell: int) -> int:
         return min(sum(c not in order for c in line) for line in lines if cell in line)
@@ -141,7 +127,7 @@ def _frenicle_forms(x: int) -> list[Cells]:
     n = x * x
     last = x - 1
     order = _fill_order(x)
-    lines = _oracle_lines(x)
+    lines = _geometry(x).lines
     lines_at = [
         tuple(li for li, line in enumerate(lines) if cell in line) for cell in order
     ]

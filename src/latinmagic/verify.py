@@ -11,6 +11,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Sequence
 
 from .model import Role, Square, SuperposedGrid, SymbolGrid, SymbolId, magic_constant
 
@@ -35,6 +39,9 @@ class LineId:
         return self.kind.value
 
 
+_DIAGONALS = (LineKind.MAIN_DIAGONAL, LineKind.ANTI_DIAGONAL)
+
+
 class Verdict(Enum):
     MAGIC = "Magic"
     SEMI_MAGIC = "SemiMagic"
@@ -45,11 +52,7 @@ def all_lines(x: int) -> tuple[LineId, ...]:
     """Rows first, then columns, then the two diagonals."""
     if x < 1:
         raise ValueError(f"order must be >= 1, got {x}")
-    return (
-        tuple(LineId(LineKind.ROW, i) for i in range(x))
-        + tuple(LineId(LineKind.COLUMN, j) for j in range(x))
-        + (LineId(LineKind.MAIN_DIAGONAL), LineId(LineKind.ANTI_DIAGONAL))
-    )
+    return _geometry(x).line_ids
 
 
 def line_positions(line: LineId, x: int) -> tuple[tuple[int, int], ...]:
@@ -65,13 +68,73 @@ def line_positions(line: LineId, x: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, x - 1 - i) for i in range(x))
 
 
+def _picker(indices: tuple[int, ...]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The items at these indices, always as a tuple.
+
+    itemgetter with a single index returns the bare item, so order 1 (and
+    the empty grid) needs its own case.
+    """
+    if len(indices) < 2:
+        return lambda flat: tuple(flat[k] for k in indices)
+    return itemgetter(*indices)
+
+
+class _Geometry:
+    """The lines and symmetries of an order-x grid over flat cells i*x + j.
+
+    line_ids: all_lines(x).
+    lines: the same lines as flat indices; line_pickers read them.
+    symmetry_pickers: the eight rotations and reflections in
+    dihedral_images order; each maps flat cells to the image's flat cells.
+    """
+
+    def __init__(self, x: int) -> None:
+        self.line_ids = (
+            tuple(LineId(LineKind.ROW, i) for i in range(x))
+            + tuple(LineId(LineKind.COLUMN, j) for j in range(x))
+            + (LineId(LineKind.MAIN_DIAGONAL), LineId(LineKind.ANTI_DIAGONAL))
+        )
+        self.lines = tuple(
+            tuple(i * x + j for i, j in line_positions(line, x))
+            for line in self.line_ids
+        )
+        self.line_pickers = tuple(map(_picker, self.lines))
+        # cell (i, j) of a clockwise quarter turn comes from cell (x-1-j, i),
+        # and of a left-right flip from cell (i, x-1-j)
+        turn = tuple((x - 1 - j) * x + i for i in range(x) for j in range(x))
+        flip = tuple(i * x + x - 1 - j for i in range(x) for j in range(x))
+        # each symmetry as the source cell of every image cell
+        symmetries = []
+        current = tuple(range(x * x))
+        for _ in range(4):
+            symmetries.append(current)
+            symmetries.append(tuple(current[k] for k in flip))
+            current = tuple(current[k] for k in turn)
+        self.symmetry_pickers = tuple(map(_picker, symmetries))
+
+
+@lru_cache(maxsize=None)
+def _geometry(x: int) -> _Geometry:
+    """The order-x table, built once per order; it holds indices only."""
+    return _Geometry(x)
+
+
+def _flat(cells: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    return tuple(chain.from_iterable(cells))
+
+
+def _unflat(flat: tuple[int, ...], x: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(flat[k:k + x] for k in range(0, x * x, x))
+
+
 def line_sums(square: Square) -> dict[LineId, int]:
     """Sum of every line of the square, keyed by line."""
-    x = square.order
-    sums: dict[LineId, int] = {}
-    for line in all_lines(x):
-        sums[line] = sum(square.cells[i][j] for (i, j) in line_positions(line, x))
-    return sums
+    geometry = _geometry(square.order)
+    flat = _flat(square.cells)
+    return {
+        line: sum(pick(flat))
+        for line, pick in zip(geometry.line_ids, geometry.line_pickers)
+    }
 
 
 @dataclass(frozen=True)
@@ -94,27 +157,22 @@ def verify_magic(square: Square) -> VerificationReport:
     x = square.order
     expected = magic_constant(x)
     sums = line_sums(square)
-    violations = tuple(
-        line for line in all_lines(x) if sums[line] != expected
-    )
+    violations = tuple(line for line, s in sums.items() if s != expected)
+    rows_cols_ok = all(line.kind in _DIAGONALS for line in violations)
 
-    positions: dict[int, list[tuple[int, int]]] = {}
-    for i, row in enumerate(square.cells):
-        for j, value in enumerate(row):
-            positions.setdefault(value, []).append((i, j))
-    duplicates = tuple(
-        (value, tuple(places))
-        for value, places in sorted(positions.items())
-        if len(places) > 1
-    )
-    wanted = set(range(1, x * x + 1))
-    bijection_ok = not duplicates and set(positions) == wanted
+    flat = _flat(square.cells)
+    bijection_ok = sorted(flat) == list(range(1, x * x + 1))
+    duplicates: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = ()
+    if not bijection_ok:
+        positions: dict[int, list[tuple[int, int]]] = {}
+        for k, value in enumerate(flat):
+            positions.setdefault(value, []).append(divmod(k, x))
+        duplicates = tuple(
+            (value, tuple(places))
+            for value, places in sorted(positions.items())
+            if len(places) > 1
+        )
 
-    rows_cols_ok = all(
-        sums[line] == expected
-        for line in all_lines(x)
-        if line.kind in (LineKind.ROW, LineKind.COLUMN)
-    )
     if bijection_ok and not violations:
         verdict = Verdict.MAGIC
     elif bijection_ok and rows_cols_ok:

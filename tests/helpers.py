@@ -13,11 +13,17 @@ from pathlib import Path
 from latinmagic import (
     GREEK_LETTERS,
     LATIN_LETTERS,
+    LineKind,
     LinearConstraint,
     Role,
     Square,
     SuperposedGrid,
     SymbolGrid,
+    VerificationReport,
+    Verdict,
+    all_lines,
+    line_positions,
+    magic_constant,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -75,6 +81,48 @@ def load_square(name: str) -> Square:
         for line in (DATA_DIR / name).read_text().strip().splitlines()
     )
     return Square(cells)
+
+
+def reference_verify_magic(square: Square) -> VerificationReport:
+    """verify_magic written the direct way: each line read cell by cell
+    through line_positions, and every value located on its own."""
+    x = square.order
+    expected = magic_constant(x)
+    sums = {
+        line: sum(square.cells[i][j] for (i, j) in line_positions(line, x))
+        for line in all_lines(x)
+    }
+    violations = tuple(line for line in all_lines(x) if sums[line] != expected)
+    positions: dict[int, list[tuple[int, int]]] = {}
+    for i, row in enumerate(square.cells):
+        for j, value in enumerate(row):
+            positions.setdefault(value, []).append((i, j))
+    duplicates = tuple(
+        (value, tuple(places))
+        for value, places in sorted(positions.items())
+        if len(places) > 1
+    )
+    bijection_ok = not duplicates and set(positions) == set(range(1, x * x + 1))
+    rows_cols_ok = all(
+        sums[line] == expected
+        for line in all_lines(x)
+        if line.kind in (LineKind.ROW, LineKind.COLUMN)
+    )
+    if bijection_ok and not violations:
+        verdict = Verdict.MAGIC
+    elif bijection_ok and rows_cols_ok:
+        verdict = Verdict.SEMI_MAGIC
+    else:
+        verdict = Verdict.NOT_MAGIC
+    return VerificationReport(
+        order=x,
+        expected_sum=expected,
+        line_sums=sums,
+        bijection_ok=bijection_ok,
+        duplicate_values=duplicates,
+        violations=violations,
+        verdict=verdict,
+    )
 
 
 @dataclass(frozen=True)

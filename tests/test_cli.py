@@ -100,6 +100,22 @@ def test_parse_structured_errors():
             parse_square(text)
 
 
+def test_parse_errors_shorten_long_values():
+    long = "x" * 10000
+    cases = (
+        f"1 {long}\n3 4\n",
+        f'{{"cells": [["{long}"]]}}',
+        f'{{"order": "{long}", "cells": [[1]]}}',
+        f'{{"cells": [[1]], "family": ["{long}"]}}',
+        f'{{"cells": [[1]], "family": "{long}"}}',
+    )
+    for text in cases:
+        with pytest.raises(SquareParseError) as info:
+            parse_square(text)
+        assert "xxxx...xxxx" in str(info.value)
+        assert len(str(info.value)) < 200
+
+
 def test_parse_structured_defaults_order_from_cells():
     doc = parse_square('{"cells": [[1, 2], [3, 4]]}')
     assert doc.order == 2
@@ -338,6 +354,90 @@ def test_verify_rejects_deeply_nested_document(capsys, monkeypatch):
     )
     assert (code, out) == (2, "")
     assert err == "error: invalid structured document: nested too deeply\n"
+
+
+LO_SHU_DOCUMENT = {
+    "cells": [[2, 9, 4], [7, 5, 3], [6, 1, 8]],
+    "family": "e3.reflect",
+    "latin_values": [0, 6, 3],
+    "greek_values": [1, 3, 2],
+}
+
+
+def test_verify_rejects_bad_metadata_fields(capsys, monkeypatch):
+    cells = LO_SHU_DOCUMENT["cells"]
+    cases = (
+        ({"family": "e9.bogus", "latin_values": [1]}, "'family' 'e9.bogus' is not a known family"),
+        ({"family": "e4.diag"}, "'family' e4.diag has order 4, but 'cells' has 3 rows"),
+        ({"latin_values": [0, 6]}, "'latin_values' has 2 values, expected one per letter (3)"),
+        ({"greek_values": [1, 2, 3, 4]}, "'greek_values' has 4 values, expected one per letter (3)"),
+    )
+    for extra, message in cases:
+        code, out, err = cli(
+            capsys, "verify", stdin=json.dumps({"cells": cells, **extra}),
+            monkeypatch=monkeypatch,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+
+
+def test_verify_rebuilds_square_from_its_metadata(capsys, monkeypatch):
+    code, out, err = cli(
+        capsys, "verify", stdin=json.dumps(LO_SHU_DOCUMENT), monkeypatch=monkeypatch
+    )
+    assert (code, err) == (0, "")
+    mirrored = {**LO_SHU_DOCUMENT, "cells": [[4, 9, 2], [3, 5, 7], [8, 1, 6]]}
+    code, out, err = cli(
+        capsys, "verify", stdin=json.dumps(mirrored), monkeypatch=monkeypatch
+    )
+    assert code == 1
+    assert "verdict: Magic" in out
+    assert err == (
+        "error: cells do not match family e3.reflect with the given letter "
+        "values: cell (0, 0) is 4, expected 2\n"
+    )
+
+
+def test_verify_accepts_every_generated_document(capsys, monkeypatch):
+    checked = 0
+    for family in FAMILIES.values():
+        for variant in family.figures or ("c",):
+            code, out, _ = cli(
+                capsys, "gen", "--family", family.family_id, "--variant", variant,
+                "--format", "structured",
+            )
+            if code:  # e6.paired repeats letter pairs
+                continue
+            assert cli(capsys, "verify", stdin=out, monkeypatch=monkeypatch)[0] == 0
+            checked += 1
+    assert checked == 11
+
+
+def test_verify_rejects_oversized_integers(capsys, monkeypatch):
+    big = "9" * 5000
+    short = "9" * 16 + "..." + "9" * 16
+    cases = (
+        (f"1 2\n3 {big}\n", "line 2, column 2", short),
+        (f'{{"cells": [[1, 2],\n  [3, -{big}]]}}', "cell (1, 1)", "-" + short[1:]),
+        # the same digits earlier in a string do not move the position
+        (f'{{"note": "{big}",\n "cells": [[{big}]]}}', "cell (0, 0)", short),
+    )
+    for text, where, token in cases:
+        code, out, err = cli(capsys, "verify", stdin=text, monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: integer at {where} has 5000 digits, more than 4300: {token}\n"
+        )
+        with pytest.raises(SquareParseError):
+            parse_square(text)
+    code, _, err = cli(
+        capsys, "verify", stdin=f'{{"order": {big}, "cells": [[1]]}}',
+        monkeypatch=monkeypatch,
+    )
+    assert code == 2
+    assert err == (
+        "error: 'order' is <5000-digit integer> but 'cells' has 1 rows\n"
+    )
 
 
 def _verify_bytes(data: bytes) -> int:

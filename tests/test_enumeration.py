@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from latinmagic import (
     FamilyCensus,
     Square,
+    ValueAssignment,
     Verdict,
     canonicalize,
     census,
@@ -15,6 +16,7 @@ from latinmagic import (
     subset_check,
     verify_magic,
 )
+from latinmagic import enumeration
 from latinmagic.enumeration import _fill_order, _frenicle_forms
 from helpers import GOLDENS, load_square
 
@@ -54,6 +56,25 @@ def test_dihedral_images_of_constant_square_collapse():
     assert set(dihedral_images(cells)) == {cells}
 
 
+def _quarter_turn(cells):
+    """Clockwise: row i of the turned square is column i read bottom to top."""
+    return tuple(zip(*cells[::-1]))
+
+
+def _mirror(cells):
+    return tuple(row[::-1] for row in cells)
+
+
+@given(squares(max_order=6))
+def test_dihedral_images_order(square):
+    cells = square.cells
+    expected = []
+    for _ in range(4):
+        expected += [cells, _mirror(cells)]
+        cells = _quarter_turn(cells)
+    assert dihedral_images(square.cells) == tuple(expected)
+
+
 @given(squares())
 def test_orbit_size_divides_eight(square):
     assert 8 % len(set(dihedral_images(square.cells))) == 0
@@ -80,6 +101,18 @@ def test_enumerate_first_family():
     for square in squares_found:
         assert verify_magic(square).verdict is Verdict.MAGIC
     assert len({s.cells for s in squares_found}) == 4
+
+
+def test_enumerate_audits_every_square(monkeypatch):
+    def unsound_solver(constraints, x):
+        yield ValueAssignment((0, 6, 3), (1, 3, 2))  # the Lo Shu
+        yield ValueAssignment((0, 3, 6), (1, 2, 3))  # breaks 2γ = α+β
+
+    monkeypatch.setattr(enumeration, "solve_assignments", unsound_solver)
+    found = enumerate_family("e3.reflect")
+    assert next(found).cells == LO_SHU_CELLS
+    with pytest.raises(AssertionError, match="constraint extraction is unsound"):
+        next(found)
 
 
 def test_enumerate_rejects_fixed_and_broken_families():

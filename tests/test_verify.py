@@ -1,5 +1,7 @@
 """Audits: line sums, magic verdicts, letter repeats, pair uniqueness."""
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from latinmagic import (
     LineId,
@@ -20,7 +22,14 @@ from latinmagic import (
     verify_magic,
     verify_orthogonality,
 )
-from helpers import FIGURES, GOLDENS, LATIN_3, letter_grid, pair_grid
+from helpers import (
+    FIGURES,
+    GOLDENS,
+    LATIN_3,
+    letter_grid,
+    pair_grid,
+    reference_verify_magic,
+)
 
 LO_SHU = Square(((2, 9, 4), (7, 5, 3), (6, 1, 8)))
 
@@ -186,3 +195,50 @@ def test_verdict_is_symmetry_invariant():
             assert verify_magic(Square(image)).verdict is Verdict.MAGIC
     for image in dihedral_images(((9, 2, 4), (7, 5, 3), (6, 1, 8))):
         assert verify_magic(Square(image)).verdict is Verdict.NOT_MAGIC
+
+
+MAGIC_BY_ORDER: dict[int, list] = {1: [((1,),)]}
+for _cells in (golden.square().cells for golden in GOLDENS):
+    MAGIC_BY_ORDER.setdefault(len(_cells), []).append(_cells)
+
+
+def _grid(x, values):
+    return Square(tuple(tuple(values[i * x:(i + 1) * x]) for i in range(x)))
+
+
+def audit_cases():
+    """Squares of orders 1-6: permutations of 1..x*x, values with repeats or
+    out of range, and magic squares with their rows reordered (semi-magic
+    whenever a diagonal breaks)."""
+
+    def of_order(x):
+        cases = [
+            st.permutations(range(1, x * x + 1)).map(lambda v: _grid(x, v)),
+            st.lists(
+                st.integers(-2, x * x + 2), min_size=x * x, max_size=x * x
+            ).map(lambda v: _grid(x, v)),
+        ]
+        if x in MAGIC_BY_ORDER:
+            cases.append(
+                st.tuples(
+                    st.sampled_from(MAGIC_BY_ORDER[x]), st.permutations(range(x))
+                ).map(lambda t: Square(tuple(t[0][i] for i in t[1])))
+            )
+        return st.one_of(cases)
+
+    return st.integers(1, 6).flatmap(of_order)
+
+
+@given(audit_cases())
+def test_verify_magic_matches_reference(square):
+    report = verify_magic(square)
+    expected = reference_verify_magic(square)
+    assert report == expected
+    assert list(report.line_sums.items()) == list(expected.line_sums.items())
+    assert list(line_sums(square).items()) == list(expected.line_sums.items())
+
+
+def test_row_shuffled_magic_square_is_semi_magic():
+    semi = Square(LO_SHU.cells[1:] + LO_SHU.cells[:1])
+    assert reference_verify_magic(semi).verdict is Verdict.SEMI_MAGIC
+    assert verify_magic(semi) == reference_verify_magic(semi)

@@ -71,59 +71,10 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Axis",
-    "CanonicalSquare",
-    "ConstraintViolationError",
-    "FAMILIES",
-    "Family",
-    "FamilyCensus",
-    "GREEK_LETTERS",
-    "LATIN_LETTERS",
-    "LineId",
-    "LineKind",
-    "LinearConstraint",
-    "MAX_SOLVE_ORDER",
-    "MirrorConflictError",
-    "ORACLE_MAX_ORDER",
-    "OrthogonalityError",
-    "OrthogonalityReport",
-    "RepeatReport",
-    "Role",
-    "Square",
-    "SubsetReport",
-    "SuperposedGrid",
-    "SymbolGrid",
-    "SymbolId",
-    "ValueAssignment",
-    "VerificationReport",
-    "Verdict",
-    "all_lines",
-    "build_square",
-    "canonicalize",
-    "census",
-    "compose",
-    "constraint_system_basis",
-    "decompose",
-    "diagonal_constraints",
-    "dihedral_images",
-    "editor_square",
-    "enumerate_family",
-    "equivalent_systems",
-    "evaluate",
-    "family_figure",
-    "line_positions",
-    "line_sums",
-    "magic_constant",
-    "magic_figure",
-    "oracle_search",
-    "pair_name",
-    "reflect_greek",
-    "rotate_lines",
-    "solve_assignments",
-    "subset_check",
-    "superpose",
-    "verify_latin",
-    "verify_magic",
-    "verify_orthogonality",
-]
+# every name imported above, without the submodules themselves
+__all__ = sorted(
+    name
+    for name in globals()
+    if not name.startswith("_")
+    and name not in ("construct", "enumeration", "model", "verify")
+)

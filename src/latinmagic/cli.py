@@ -185,6 +185,12 @@ def _parse_structured(text: str) -> SquareDocument:
                 f"'family' {family} has order {FAMILIES[family].order}, "
                 f"but 'cells' has {order} rows"
             )
+        for key in ("latin_values", "greek_values"):
+            if key in data and not FAMILIES[family].figures:
+                raise SquareParseError(
+                    f"'{key}' does not apply: {family} is a fixed square "
+                    "with no letter values"
+                )
     return SquareDocument(
         order=order,
         cells=tuple(cells),
@@ -350,7 +356,7 @@ def _csv_ints(text: str, flag: str) -> tuple[int, ...]:
         return tuple(int(part.strip()) for part in text.split(","))
     except ValueError:
         raise ValueError(
-            f"{flag} expects comma-separated integers, got {text!r}"
+            f"{flag} expects comma-separated integers, got {_shorten(repr(text))}"
         ) from None
 
 

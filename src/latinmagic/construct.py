@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .model import (
     GREEK_LETTERS,
@@ -27,6 +27,9 @@ from .model import (
 )
 from .verify import (
     OrthogonalityReport,
+    _flat,
+    _geometry,
+    _unflat,
     all_lines,
     line_positions,
     pair_name,
@@ -43,6 +46,15 @@ class Axis(Enum):
     MIDDLE_ROW = "middle row"
     MAIN_DIAGONAL = "main diagonal"
     ANTI_DIAGONAL = "anti diagonal"
+
+
+# each axis's position among the _geometry symmetries
+_AXIS_SYMMETRY = {
+    Axis.MIDDLE_COLUMN: 1,
+    Axis.MAIN_DIAGONAL: 3,
+    Axis.MIDDLE_ROW: 5,
+    Axis.ANTI_DIAGONAL: 7,
+}
 
 
 class MirrorConflictError(ValueError):
@@ -80,16 +92,6 @@ class OrthogonalityError(ValueError):
         super().__init__(f"figure repeats letter pairs: {dups}, so it is not enumerable")
 
 
-def _mirror(axis: Axis, x: int):
-    if axis is Axis.MIDDLE_COLUMN:
-        return lambda i, j: (i, x - 1 - j)
-    if axis is Axis.MIDDLE_ROW:
-        return lambda i, j: (x - 1 - i, j)
-    if axis is Axis.MAIN_DIAGONAL:
-        return lambda i, j: (j, i)
-    return lambda i, j: (x - 1 - j, x - 1 - i)
-
-
 def reflect_greek(latin: SymbolGrid, axis: Axis) -> SymbolGrid:
     """Derive the Greek component by mirroring the Latin one.
 
@@ -103,24 +105,13 @@ def reflect_greek(latin: SymbolGrid, axis: Axis) -> SymbolGrid:
     x = latin.order
     if axis in (Axis.MIDDLE_COLUMN, Axis.MIDDLE_ROW) and x % 2 == 0:
         raise ValueError(f"{axis.value} axis needs an odd order, got {x}")
-    mirror = _mirror(axis, x)
-    for i in range(x):
-        for j in range(x):
-            mi, mj = mirror(i, j)
-            if (mi, mj) <= (i, j):
-                continue
-            if latin.cells[i][j] == latin.cells[mi][mj]:
-                raise MirrorConflictError(
-                    axis,
-                    (i, j),
-                    (mi, mj),
-                    SymbolId(Role.LATIN, latin.cells[i][j]).letter,
-                )
-    cells = tuple(
-        tuple(latin.cells[mirror(i, j)[0]][mirror(i, j)[1]] for j in range(x))
-        for i in range(x)
-    )
-    return SymbolGrid(Role.GREEK, cells)
+    mirror = _geometry(x).symmetries[_AXIS_SYMMETRY[axis]]
+    flat = _flat(latin.cells)
+    for k, m in enumerate(mirror):
+        if k < m and flat[k] == flat[m]:
+            letter = SymbolId(Role.LATIN, flat[k]).letter
+            raise MirrorConflictError(axis, divmod(k, x), divmod(m, x), letter)
+    return SymbolGrid(Role.GREEK, _unflat(tuple(flat[m] for m in mirror), x))
 
 
 def rotate_lines(grid: SuperposedGrid, axis: str, shift: int) -> SuperposedGrid:
@@ -183,9 +174,7 @@ class LinearConstraint:
     def canonical_key(self) -> tuple[int, ...]:
         """Sign- and scale-normalized vector; equal keys mean equal conditions."""
         vec = self.vector()
-        g = 0
-        for c in vec:
-            g = gcd(g, abs(c))
+        g = gcd(*vec)
         vec = tuple(c // g for c in vec)
         first = next(c for c in vec if c)
         if first < 0:
@@ -269,9 +258,7 @@ def constraint_system_basis(
     basis, _pivots = _rref(c.vector() for c in constraints)
     rows = []
     for row in basis:
-        scale = 1
-        for value in row:
-            scale = scale * value.denominator // gcd(scale, value.denominator)
+        scale = lcm(*(value.denominator for value in row))
         ints = [int(value * scale) for value in row]
         rows.append(LinearConstraint(tuple(ints[:x]), tuple(ints[x:])))
     return tuple(rows)

@@ -6,6 +6,7 @@ any figure construction, so family output can be checked against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterator
 
 from .construct import diagonal_constraints, magic_figure, solve_assignments
@@ -121,12 +122,49 @@ def _fill_order(x: int) -> tuple[int, ...]:
     return tuple(order)
 
 
+def _forced_cells(x: int) -> list[tuple | None]:
+    """Per fill step: None for a free cell, (den, const, terms) for a forced one.
+
+    A forced cell's value v satisfies den*v = const + sum(coef * value of
+    cell) over its terms, whose cells are all filled earlier.  The rules
+    are the rows of a fraction-free integer echelon form of the line
+    equations, with the columns in reverse fill order, so each row's pivot
+    is its last-filled cell.
+    """
+    order = _fill_order(x)
+    n = x * x
+    # one row per line: a coefficient per cell, last-filled first, then the sum
+    rows = [
+        [int(cell in line) for cell in reversed(order)] + [magic_constant(x)]
+        for line in _geometry(x).lines
+    ]
+    rules: list[tuple | None] = [None] * n
+    for col in range(n):
+        pivot = next((row for row in rows if row[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        if pivot[col] < 0:
+            pivot = [-a for a in pivot]
+        for k, row in enumerate(rows):
+            if row[col]:
+                row = [pivot[col] * a - row[col] * b for a, b in zip(row, pivot)]
+                g = gcd(*row) or 1
+                rows[k] = [a // g for a in row]
+        terms = tuple(
+            (-pivot[c], order[n - 1 - c]) for c in range(col + 1, n) if pivot[c]
+        )
+        rules[n - 1 - col] = (pivot[col], pivot[n], terms)
+    return rules
+
+
 def _frenicle_forms(x: int) -> list[Cells]:
     """The Frénicle normal form of every order-x magic square; see oracle_search."""
     target = magic_constant(x)
     n = x * x
     last = x - 1
     order = _fill_order(x)
+    forced = _forced_cells(x)
     lines = _geometry(x).lines
     lines_at = [
         tuple(li for li, line in enumerate(lines) if cell in line) for cell in order
@@ -161,6 +199,13 @@ def _frenicle_forms(x: int) -> list[Cells]:
         cell = order[k]
         cell_lines = lines_at[k]
         lo, hi = 1, n
+        if forced[k] is not None:
+            den, total, terms = forced[k]
+            for coef, c in terms:
+                total += coef * grid[c]
+            if total % den or not den <= total <= n * den:
+                return
+            lo = hi = total // den
         for li in cell_lines:
             rest = target - sums[li]
             e = empties[li] - 1
@@ -218,7 +263,14 @@ def oracle_search(x: int) -> set[Square]:
 
     Each cell's candidates form one integer range: every line through it
     must still be completable by distinct values from 1..x*x, so a line's
-    last cell is forced.  Expansion: each normal form is mapped by
+    last cell is forced.  Forcing: the line sums are linear equations, so
+    some cells are fixed by the cells filled before them; at order 4 the
+    four corners sum to the magic constant, so the fourth corner is one.
+    _forced_cells finds every such cell by integer elimination (9 of 16 at
+    order 4), and the search computes its value instead of trying each one,
+    pruning when the value is not an integer in 1..x*x.  Each rule is a sum
+    of multiples of line equations, so every magic square satisfies it and
+    no square is lost.  Expansion: each normal form is mapped by
     dihedral_images to its whole class.  The search space explodes beyond
     order 4, so larger orders are rejected.
     """

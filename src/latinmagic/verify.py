@@ -84,8 +84,11 @@ class _Geometry:
 
     line_ids: all_lines(x).
     lines: the same lines as flat indices; line_pickers read them.
-    symmetry_pickers: the eight rotations and reflections in
-    dihedral_images order; each maps flat cells to the image's flat cells.
+    symmetries: the eight rotations and reflections in dihedral_images
+    order, each as the source cell of every image cell; the odd positions
+    are the reflections across the middle column, the main diagonal, the
+    middle row and the anti diagonal.  symmetry_pickers apply them to
+    flat cells.
     """
 
     def __init__(self, x: int) -> None:
@@ -110,6 +113,7 @@ class _Geometry:
             symmetries.append(current)
             symmetries.append(tuple(current[k] for k in flip))
             current = tuple(current[k] for k in turn)
+        self.symmetries = tuple(symmetries)
         self.symmetry_pickers = tuple(map(_picker, symmetries))
 
 

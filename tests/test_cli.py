@@ -248,6 +248,16 @@ def test_gen_editor_square_takes_no_values(capsys):
     assert "fixed square" in err
 
 
+def test_gen_shortens_a_long_value_argument(capsys):
+    code, out, err = cli(
+        capsys, "gen", "--family", "e3.reflect", "--latin", "9" * 5000 + ",0,3",
+        "--greek", "1,3,2",
+    )
+    assert (code, out) == (2, "")
+    assert "--latin expects comma-separated integers" in err
+    assert len(err) < 200
+
+
 def test_gen_paired_family_fails_cleanly(capsys):
     code, out, err = cli(capsys, "gen", "--family", "e6.paired")
     assert code == 1
@@ -379,6 +389,23 @@ def test_verify_rejects_bad_metadata_fields(capsys, monkeypatch):
         )
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("key", ["latin_values", "greek_values"])
+def test_verify_rejects_letter_values_on_a_fixed_square(capsys, monkeypatch, key):
+    document = {
+        "cells": [list(row) for row in load_square("golden_e6_editor.txt").cells],
+        "family": "e6.editor",
+        key: [1, 2, 3, 4, 5, 6],
+    }
+    code, out, err = cli(
+        capsys, "verify", stdin=json.dumps(document), monkeypatch=monkeypatch
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: '{key}' does not apply: e6.editor is a fixed square with no "
+        "letter values\n"
+    )
 
 
 def test_verify_rebuilds_square_from_its_metadata(capsys, monkeypatch):

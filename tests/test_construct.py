@@ -12,6 +12,7 @@ from latinmagic import (
     MirrorConflictError,
     OrthogonalityError,
     Role,
+    SymbolGrid,
     ValueAssignment,
     Verdict,
     build_square,
@@ -127,6 +128,50 @@ def test_reflect_greek_rejects_greek_input():
     greek = letter_grid(Role.GREEK, GREEK_3)
     with pytest.raises(ValueError, match="latin component"):
         reflect_greek(greek, Axis.MIDDLE_COLUMN)
+
+
+# where each axis sends cell (i, j) of an order-x grid
+EXPLICIT_MIRRORS = {
+    Axis.MIDDLE_COLUMN: lambda i, j, x: (i, x - 1 - j),
+    Axis.MIDDLE_ROW: lambda i, j, x: (x - 1 - i, j),
+    Axis.MAIN_DIAGONAL: lambda i, j, x: (j, i),
+    Axis.ANTI_DIAGONAL: lambda i, j, x: (x - 1 - j, x - 1 - i),
+}
+
+
+@pytest.mark.parametrize("axis", list(Axis))
+def test_reflect_greek_follows_the_explicit_mirror(axis):
+    mirror = EXPLICIT_MIRRORS[axis]
+    families = ["e5.diag"]
+    if axis in (Axis.MAIN_DIAGONAL, Axis.ANTI_DIAGONAL):
+        families.append("e4.diag")
+    for family_id in families:
+        latin = family_figure(family_id).latin_component()
+        x = latin.order
+        greek = reflect_greek(latin, axis)
+        assert greek.role is Role.GREEK
+        for i in range(x):
+            for j in range(x):
+                mi, mj = mirror(i, j, x)
+                assert greek.cells[i][j] == latin.cells[mi][mj], (family_id, i, j)
+
+
+@pytest.mark.parametrize("axis", list(Axis))
+def test_mirror_conflict_names_the_first_mirrored_pair(axis):
+    x = 5
+    mirror = EXPLICIT_MIRRORS[axis]
+    latin = family_figure("e5.diag").latin_component()
+    # the first off-axis cell in row-major order, given its mirror's letter
+    i, j = next(
+        (i, j) for i in range(x) for j in range(x) if mirror(i, j, x) > (i, j)
+    )
+    mi, mj = mirror(i, j, x)
+    cells = [list(row) for row in latin.cells]
+    cells[i][j] = cells[mi][mj]
+    with pytest.raises(MirrorConflictError) as info:
+        reflect_greek(SymbolGrid(Role.LATIN, tuple(map(tuple, cells))), axis)
+    assert (info.value.first, info.value.second) == ((i, j), (mi, mj))
+    assert info.value.letter == "abcde"[cells[i][j]]
 
 
 def test_mirror_conflict_reports_the_pair():

@@ -1,4 +1,6 @@
 """Symmetry reduction, family censuses, and the exhaustive oracle."""
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,13 +13,14 @@ from latinmagic import (
     canonicalize,
     census,
     dihedral_images,
+    editor_square,
     enumerate_family,
     oracle_search,
     subset_check,
     verify_magic,
 )
 from latinmagic import enumeration
-from latinmagic.enumeration import _fill_order, _frenicle_forms
+from latinmagic.enumeration import _fill_order, _forced_cells, _frenicle_forms
 from helpers import GOLDENS, load_square
 
 LO_SHU_CELLS = ((2, 9, 4), (7, 5, 3), (6, 1, 8))
@@ -173,8 +176,75 @@ def test_oracle_bounds():
         oracle_search(0)
 
 
-def test_oracle_order_four_has_880_classes():
-    assert len({canonicalize(s) for s in oracle_search(4)}) == 880
+def test_oracle_order_four_has_880_classes(oracle4):
+    assert len({canonicalize(s) for s in oracle4}) == 880
+
+
+# sha256 of the order-4 oracle's squares as sorted row-major tuples, values
+# joined by spaces and squares by newlines, from the search before forcing
+ORACLE4_SHA256 = "5d777a70a4079f41dae7f3c7545102198e5a4d4f418fb3d0d12a0a1ae391555d"
+
+
+def test_oracle_order_four_is_the_known_set(oracle4):
+    flat = sorted(tuple(v for row in s.cells for v in row) for s in oracle4)
+    assert len(flat) == 7040
+    text = "\n".join(" ".join(map(str, cells)) for cells in flat)
+    assert hashlib.sha256(text.encode()).hexdigest() == ORACLE4_SHA256
+
+
+@pytest.mark.parametrize("x, steps", [
+    (1, [0]),
+    (2, [0, 1, 2, 3]),
+    (3, [2, 3, 4, 5, 6, 7, 8]),
+    (4, [3, 5, 7, 9, 10, 11, 13, 14, 15]),
+])
+def test_forced_steps(x, steps):
+    assert [k for k, rule in enumerate(_forced_cells(x)) if rule] == steps
+
+
+def test_forced_rules_only_read_earlier_cells():
+    # order 6 is the first whose elimination meets a negative pivot
+    for x in range(1, 9):
+        order = _fill_order(x)
+        for k, rule in enumerate(_forced_cells(x)):
+            if rule:
+                den, _, terms = rule
+                assert den > 0
+                assert all(cell in order[:k] for _, cell in terms)
+
+
+def _rule_violations(squares):
+    """(square, step) pairs where a forced cell's rule fails."""
+    rules = {}
+    bad = []
+    for square in squares:
+        x = square.order
+        if x not in rules:
+            rules[x] = list(zip(_fill_order(x), _forced_cells(x)))
+        flat = [v for row in square.cells for v in row]
+        for k, (cell, rule) in enumerate(rules[x]):
+            if rule:
+                den, const, terms = rule
+                total = const + sum(coef * flat[c] for coef, c in terms)
+                if den * flat[cell] != total:
+                    bad.append((square, k))
+    return bad
+
+
+def test_forced_rules_hold_on_every_known_square(oracle3, oracle4):
+    assert _rule_violations(oracle3) == []
+    assert _rule_violations(oracle4) == []
+    for family_id in ("e5.diag", "e5.center"):
+        assert _rule_violations(enumerate_family(family_id)) == []
+    assert _rule_violations([editor_square()]) == []
+
+
+def test_forced_rule_fails_on_a_non_magic_square():
+    # the fourth corner is forced by the other three: 34 - 1 - 4 - 13 = 16
+    cells = list(range(1, 17))
+    cells[15], cells[14] = cells[14], cells[15]
+    square = Square(tuple(tuple(cells[i * 4:i * 4 + 4]) for i in range(4)))
+    assert (square, 3) in _rule_violations([square])
 
 
 @pytest.mark.parametrize("x", [1, 2, 3, 4])

@@ -1,12 +1,15 @@
 """Command line front end: gen, verify, enumerate, constraints, oracle, families.
 
 Exit codes: 0 on success (and a Magic verdict), 1 when verification fails or
-a family is expected to fail, 2 for usage and input errors.
+a family is expected to fail, 2 for usage and input errors, 141 when the
+reader of stdout goes away.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -40,6 +43,17 @@ class SquareParseError(ValueError):
 _MAX_DIGITS = 4300
 
 
+# int() also takes other scripts' digits, "_" separators and padding
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _ascii_int(token: str) -> int:
+    """An ASCII decimal integer with an optional sign, or ValueError."""
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(token)
+    return int(token)
+
+
 def _shorten(token: str) -> str:
     return token if len(token) <= 40 else f"{token[:16]}...{token[-16:]}"
 
@@ -48,7 +62,7 @@ def _too_long(literal: str) -> bool:
     if len(literal) <= _MAX_DIGITS:
         return False
     digits = literal.lstrip("+-")
-    return len(digits) > _MAX_DIGITS and digits.isdigit()
+    return len(digits) > _MAX_DIGITS and _INTEGER.fullmatch(digits) is not None
 
 
 def _too_long_error(literal: str, where: str) -> SquareParseError:
@@ -119,7 +133,7 @@ def parse_square(text: str) -> SquareDocument:
             if _too_long(token):
                 raise _too_long_error(token, f"line {lineno}, column {column}")
             try:
-                row.append(int(token))
+                row.append(_ascii_int(token))
             except ValueError:
                 raise SquareParseError(
                     f"invalid integer {_shorten(token)!r} at line {lineno}, "
@@ -353,7 +367,7 @@ def _read_input(path: str) -> str:
 
 def _csv_ints(text: str, flag: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part.strip()) for part in text.split(","))
+        return tuple(_ascii_int(part.strip()) for part in text.split(","))
     except ValueError:
         raise ValueError(
             f"{flag} expects comma-separated integers, got {_shorten(repr(text))}"
@@ -544,7 +558,14 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: stop quietly, and send what is still buffered
+        # to devnull so the interpreter's final flush stays silent too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OrthogonalityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

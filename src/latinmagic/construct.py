@@ -10,8 +10,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
-from math import gcd, lcm
 
 from .model import (
     GREEK_LETTERS,
@@ -22,6 +20,9 @@ from .model import (
     SymbolGrid,
     SymbolId,
     ValueAssignment,
+    _primitive,
+    _reduce,
+    _rref,
     evaluate,
     superpose,
 )
@@ -137,15 +138,21 @@ def rotate_lines(grid: SuperposedGrid, axis: str, shift: int) -> SuperposedGrid:
 class LinearConstraint:
     """A linear condition on letter values: sum of coeff * value == 0.
 
-    Coefficients are listed per alphabet in letter order.  Within each
-    alphabet they sum to zero, because they arise as letter multiplicities
-    of an x-cell line minus one each.
+    Coefficients are integers listed per alphabet in letter order.  Within
+    each alphabet they sum to zero, because they arise as letter
+    multiplicities of an x-cell line minus one each.
     """
 
     latin: tuple[int, ...]
     greek: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for side, coeffs in (("latin", self.latin), ("greek", self.greek)):
+            for k, c in enumerate(coeffs):
+                if not isinstance(c, int) or isinstance(c, bool):
+                    raise ValueError(
+                        f"{side} coefficient {k} is not an integer: {c!r}"
+                    )
         if len(self.latin) != len(self.greek):
             raise ValueError("latin and greek coefficient lists differ in length")
         if not self.latin:
@@ -173,13 +180,7 @@ class LinearConstraint:
 
     def canonical_key(self) -> tuple[int, ...]:
         """Sign- and scale-normalized vector; equal keys mean equal conditions."""
-        vec = self.vector()
-        g = gcd(*vec)
-        vec = tuple(c // g for c in vec)
-        first = next(c for c in vec if c)
-        if first < 0:
-            vec = tuple(-c for c in vec)
-        return vec
+        return _primitive(self.vector())
 
     def residual(self, assignment: ValueAssignment) -> int:
         return sum(
@@ -205,40 +206,6 @@ class LinearConstraint:
         return f"{'+'.join(left)} = {'+'.join(right)}"
 
 
-def _rref(vectors):
-    """Reduced row echelon basis over the rationals, rows sorted by pivot."""
-    basis: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for vec in vectors:
-        row = [Fraction(c) for c in vec]
-        for brow, bp in zip(basis, pivots):
-            if row[bp]:
-                f = row[bp]
-                row = [r - f * b for r, b in zip(row, brow)]
-        pivot = next((k for k, val in enumerate(row) if val), None)
-        if pivot is None:
-            continue
-        inv = row[pivot]
-        row = [r / inv for r in row]
-        for k, (brow, bp) in enumerate(zip(basis, pivots)):
-            if brow[pivot]:
-                f = brow[pivot]
-                basis[k] = [b - f * r for b, r in zip(brow, row)]
-        basis.append(row)
-        pivots.append(pivot)
-    order = sorted(range(len(basis)), key=lambda k: pivots[k])
-    return [basis[k] for k in order], [pivots[k] for k in order]
-
-
-def _in_span(basis, pivots, vec) -> bool:
-    row = [Fraction(c) for c in vec]
-    for brow, bp in zip(basis, pivots):
-        if row[bp]:
-            f = row[bp]
-            row = [r - f * b for r, b in zip(row, brow)]
-    return not any(row)
-
-
 def constraint_system_basis(
     constraints,
 ) -> tuple[LinearConstraint, ...]:
@@ -256,12 +223,7 @@ def constraint_system_basis(
         if c.order != x:
             raise ValueError("constraints mix different orders")
     basis, _pivots = _rref(c.vector() for c in constraints)
-    rows = []
-    for row in basis:
-        scale = lcm(*(value.denominator for value in row))
-        ints = [int(value * scale) for value in row]
-        rows.append(LinearConstraint(tuple(ints[:x]), tuple(ints[x:])))
-    return tuple(rows)
+    return tuple(LinearConstraint(row[:x], row[x:]) for row in basis)
 
 
 def equivalent_systems(first, second) -> bool:
@@ -304,8 +266,8 @@ def diagonal_constraints(pairs: SuperposedGrid) -> tuple[LinearConstraint, ...]:
     out_seen: set[tuple[int, ...]] = set()
     for constraint in raw:
         parts = [constraint]
-        if constraint.is_coupled() and _in_span(
-            basis, pivots, constraint.latin_side().vector()
+        if constraint.is_coupled() and not any(
+            _reduce(constraint.latin_side().vector(), basis, pivots)
         ):
             parts = [constraint.latin_side(), constraint.greek_side()]
         for part in parts:

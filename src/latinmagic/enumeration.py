@@ -6,11 +6,10 @@ any figure construction, so family output can be checked against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterator
 
 from .construct import diagonal_constraints, magic_figure, solve_assignments
-from .model import Square, evaluate, magic_constant
+from .model import Square, _rref, evaluate, magic_constant
 from .verify import Verdict, _flat, _geometry, _unflat, verify_magic
 
 ORACLE_MAX_ORDER = 4
@@ -126,10 +125,11 @@ def _forced_cells(x: int) -> list[tuple | None]:
     """Per fill step: None for a free cell, (den, const, terms) for a forced one.
 
     A forced cell's value v satisfies den*v = const + sum(coef * value of
-    cell) over its terms, whose cells are all filled earlier.  The rules
-    are the rows of a fraction-free integer echelon form of the line
-    equations, with the columns in reverse fill order, so each row's pivot
-    is its last-filled cell.
+    cell) over its terms, whose cells are free cells filled earlier.  The
+    rules are the rows of model._rref, the one integer elimination, applied
+    to the line equations with the columns in reverse fill order, so each
+    row's pivot is its last-filled cell and every other entry is zero at
+    the other pivots.
     """
     order = _fill_order(x)
     n = x * x
@@ -139,22 +139,11 @@ def _forced_cells(x: int) -> list[tuple | None]:
         for line in _geometry(x).lines
     ]
     rules: list[tuple | None] = [None] * n
-    for col in range(n):
-        pivot = next((row for row in rows if row[col]), None)
-        if pivot is None:
-            continue
-        rows.remove(pivot)
-        if pivot[col] < 0:
-            pivot = [-a for a in pivot]
-        for k, row in enumerate(rows):
-            if row[col]:
-                row = [pivot[col] * a - row[col] * b for a, b in zip(row, pivot)]
-                g = gcd(*row) or 1
-                rows[k] = [a // g for a in row]
+    for row, col in zip(*_rref(rows)):
         terms = tuple(
-            (-pivot[c], order[n - 1 - c]) for c in range(col + 1, n) if pivot[c]
+            (-row[c], order[n - 1 - c]) for c in range(col + 1, n) if row[c]
         )
-        rules[n - 1 - col] = (pivot[col], pivot[n], terms)
+        rules[n - 1 - col] = (row[col], row[n], terms)
     return rules
 
 
@@ -266,8 +255,9 @@ def oracle_search(x: int) -> set[Square]:
     last cell is forced.  Forcing: the line sums are linear equations, so
     some cells are fixed by the cells filled before them; at order 4 the
     four corners sum to the magic constant, so the fourth corner is one.
-    _forced_cells finds every such cell by integer elimination (9 of 16 at
-    order 4), and the search computes its value instead of trying each one,
+    _forced_cells finds every such cell (9 of 16 at order 4) with model._rref,
+    the exact integer elimination that also reduces the diagonal constraints,
+    and the search computes its value instead of trying each one,
     pruning when the value is not an integer in 1..x*x.  Each rule is a sum
     of multiples of line equations, so every magic square satisfies it and
     no square is lost.  Expansion: each normal form is mapped by

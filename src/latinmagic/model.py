@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import gcd
 
 LATIN_LETTERS = "abcdef"
 GREEK_LETTERS = "αβγδεζ"
@@ -100,6 +101,8 @@ class SuperposedGrid:
                 if len(pair) != 2:
                     raise ValueError(f"cell ({i}, {j}) must hold a pair")
                 for idx in pair:
+                    if not isinstance(idx, int) or isinstance(idx, bool):
+                        raise ValueError(f"cell ({i}, {j}) is not an integer index")
                     if not 0 <= idx < order:
                         raise ValueError(
                             f"cell ({i}, {j}) index {idx} outside 0..{order - 1}"
@@ -245,3 +248,52 @@ def evaluate(pairs: SuperposedGrid, assignment: ValueAssignment) -> Square:
             tuple(latin[l] + greek[g] for (l, g) in row) for row in pairs.cells
         )
     )
+
+
+# --- exact integer elimination -----------------------------------------------
+
+
+def _primitive(row) -> tuple[int, ...]:
+    """row divided by the gcd of its entries, with its first nonzero entry
+    positive; a zero row stays zero."""
+    g = gcd(*row)
+    if next((c for c in row if c), 0) < 0:
+        g = -g
+    return tuple(c // g for c in row) if g else tuple(row)
+
+
+def _reduce(row, basis, pivots) -> tuple[int, ...]:
+    """row with the pivot column of every _rref row cleared, as a _primitive row.
+
+    The result is zero exactly when row lies in the span of the basis.
+    """
+    for brow, p in zip(basis, pivots):
+        if row[p]:
+            g = gcd(row[p], brow[p])
+            a, b = brow[p] // g, row[p] // g
+            row = [a * r - b * s for r, s in zip(row, brow)]
+    return _primitive(row)
+
+
+def _rref(rows) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Integer reduced row echelon form: (basis rows, their pivot columns).
+
+    Each basis row is _primitive, so its pivot (first nonzero entry) is
+    positive, and every other basis row is zero in its pivot column; rows
+    are sorted by pivot, and zero or dependent rows drop out.  Two row sets
+    span the same space exactly when their bases are equal.
+    """
+    basis: list[tuple[int, ...]] = []
+    pivots: list[int] = []
+    for row in rows:
+        row = _reduce(row, basis, pivots)
+        p = next((k for k, c in enumerate(row) if c), None)
+        if p is None:
+            continue
+        for k, brow in enumerate(basis):
+            if brow[p]:
+                basis[k] = _reduce(brow, [row], [p])
+        basis.append(row)
+        pivots.append(p)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return [basis[k] for k in order], [pivots[k] for k in order]

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 from latinmagic import (
@@ -73,6 +75,40 @@ def constraint(text: str, order: int) -> LinearConstraint:
             else:
                 greek[_GREEK_INDEX[letter]] += coeff
     return LinearConstraint(tuple(latin), tuple(greek))
+
+
+def reference_system_basis(constraints) -> tuple[LinearConstraint, ...]:
+    """constraint_system_basis the textbook way: Gauss-Jordan elimination
+    over Fraction, each row scaled to 1 at its pivot, then to integers by
+    the lcm of its denominators."""
+    constraints = tuple(constraints)
+    if not constraints:
+        return ()
+    x = constraints[0].order
+    basis: list[list[Fraction]] = []
+    pivots: list[int] = []
+    for c in constraints:
+        row = [Fraction(v) for v in c.vector()]
+        for brow, bp in zip(basis, pivots):
+            if row[bp]:
+                f = row[bp]
+                row = [r - f * b for r, b in zip(row, brow)]
+        pivot = next((k for k, v in enumerate(row) if v), None)
+        if pivot is None:
+            continue
+        row = [r / row[pivot] for r in row]
+        for k, (brow, bp) in enumerate(zip(basis, pivots)):
+            if brow[pivot]:
+                f = brow[pivot]
+                basis[k] = [b - f * r for b, r in zip(brow, row)]
+        basis.append(row)
+        pivots.append(pivot)
+    rows = []
+    for _, row in sorted(zip(pivots, basis)):
+        scale = lcm(*(v.denominator for v in row))
+        ints = tuple(int(v * scale) for v in row)
+        rows.append(LinearConstraint(ints[:x], ints[x:]))
+    return tuple(rows)
 
 
 def load_square(name: str) -> Square:

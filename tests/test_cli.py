@@ -2,12 +2,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latinmagic
 from latinmagic import FAMILIES, Square, dihedral_images, verify_magic
 from latinmagic import cli as cli_module, construct
 from latinmagic.cli import SquareDocument, SquareParseError, parse_square, render, run
@@ -21,6 +26,16 @@ E3_GRIDS = (
     "8 3 4\n1 5 9\n6 7 2",
     "8 1 6\n3 5 7\n4 9 2",
 )
+
+
+# the environment of a child interpreter that imports this latinmagic
+_SOURCE_ROOT = str(Path(latinmagic.__file__).parents[1])
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, (_SOURCE_ROOT, os.environ.get("PYTHONPATH")))
+    ),
+}
 
 
 def cli(capsys, *argv, stdin=None, monkeypatch=None):
@@ -54,6 +69,25 @@ def test_parse_bad_integer():
     with pytest.raises(SquareParseError) as info:
         parse_square("1 x\n3 4\n")
     assert str(info.value) == "invalid integer 'x' at line 1, column 2"
+
+
+@pytest.mark.parametrize("token", ["\u0668", "\uff18", "0_8", "8.0", "+-8", "-"])
+def test_parse_accepts_only_ascii_decimal_integers(token):
+    with pytest.raises(SquareParseError) as info:
+        parse_square(f"2 7 6\n9 5 1\n4 3 {token}\n")
+    assert str(info.value) == f"invalid integer {token!r} at line 3, column 3"
+
+
+def test_parse_long_tokens_of_other_digits_are_invalid_integers():
+    digit = "\u0668"
+    with pytest.raises(SquareParseError) as info:
+        parse_square(digit * 5000)
+    shortened = digit * 16 + "..." + digit * 16
+    assert str(info.value) == f"invalid integer {shortened!r} at line 1, column 1"
+
+
+def test_parse_accepts_signed_integers():
+    assert parse_square("+2 -7\n06 +0\n").cells == ((2, -7), (6, 0))
 
 
 def test_parse_empty_input():
@@ -256,6 +290,26 @@ def test_gen_shortens_a_long_value_argument(capsys):
     assert (code, out) == (2, "")
     assert "--latin expects comma-separated integers" in err
     assert len(err) < 200
+
+
+@pytest.mark.parametrize("latin", ["0,\u0666,3", "0,\uff16,3", "0,6_0,3", "0,,3"])
+def test_gen_accepts_only_ascii_decimal_values(capsys, latin):
+    code, out, err = cli(
+        capsys, "gen", "--family", "e3.reflect", "--latin", latin, "--greek", "1,3,2"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: --latin expects comma-separated integers, got {latin!r}\n"
+    )
+
+
+def test_gen_values_may_be_padded_and_signed(capsys):
+    code, out, _ = cli(
+        capsys, "gen", "--family", "e3.reflect", "--latin", " 0, +6 ,3",
+        "--greek", "1,3,2",
+    )
+    assert code == 0
+    assert out.splitlines()[0].split() == ["2", "9", "4"]
 
 
 def test_gen_paired_family_fails_cleanly(capsys):
@@ -706,6 +760,32 @@ def test_usage_errors(capsys):
     assert cli(capsys, "gen")[0] == 2
     assert cli(capsys, "bogus")[0] == 2
     assert cli(capsys, "verify", GOLDEN_E3, "--format", "yaml")[0] == 2
+
+
+def test_closed_stdout_ends_quietly():
+    with subprocess.Popen(
+        [sys.executable, "-m", "latinmagic", "enumerate", "--family", "e5.diag"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV,
+    ) as child:
+        # far more than a pipe holds, so the child is still writing
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 141
+    assert first.split() == [b"5", b"9", b"13", b"17", b"21"]
+    assert err == b""
+
+
+def test_cli_import_leaves_out_fractions_and_decimal():
+    loaded = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, latinmagic.cli; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))",
+        ],
+        capture_output=True, text=True, env=CHILD_ENV, check=True,
+    )
+    assert loaded.stdout == "[]\n"
 
 
 def test_main_exits_with_run_code(capsys, monkeypatch):

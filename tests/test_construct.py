@@ -2,6 +2,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latinmagic import (
     FAMILIES,
@@ -40,6 +42,7 @@ from helpers import (
     letter_grid,
     load_square,
     pair_grid,
+    reference_system_basis,
 )
 
 # Mirror axis used by each family built directly from a Latin component.
@@ -282,6 +285,18 @@ def test_linear_constraint_validation():
         LinearConstraint((0, 0, 0), (0, 0, 0))
 
 
+@pytest.mark.parametrize("latin, greek, message", [
+    ((1.5, -1.5), (0, 0), "latin coefficient 0 is not an integer: 1.5"),
+    ((1, -1), (0, 0.0), "greek coefficient 1 is not an integer: 0.0"),
+    ((True, -1), (0, 0), "latin coefficient 0 is not an integer: True"),
+    ((1, -1), ("1", 0), "greek coefficient 0 is not an integer: '1'"),
+])
+def test_linear_constraint_rejects_non_integer_coefficients(latin, greek, message):
+    with pytest.raises(ValueError) as info:
+        LinearConstraint(latin, greek)
+    assert str(info.value) == message
+
+
 def test_linear_constraint_sides_and_coupling():
     coupled = constraint("2c+2δ = a+e+α+γ", 5)
     assert coupled.is_coupled()
@@ -328,6 +343,46 @@ def test_constraint_system_basis_is_order_insensitive():
     assert constraint_system_basis([a, a, b]) == constraint_system_basis([a, b])
     with pytest.raises(ValueError):
         constraint_system_basis([a, constraint("b+c = a+d", 4)])
+
+
+@st.composite
+def constraint_systems(draw):
+    """Random systems of one order in 1..6, with repeated and dependent rows."""
+    x = draw(st.integers(1, 6))
+    coeff = st.integers(-4, 4)
+
+    def side():
+        if draw(st.booleans()):
+            return (0,) * x
+        head = draw(st.lists(coeff, min_size=x - 1, max_size=x - 1))
+        return (*head, -sum(head))
+
+    rows = []
+    for _ in range(draw(st.integers(0, 2 * x + 2))):
+        latin, greek = side(), side()
+        if any(latin) or any(greek):
+            rows.append(LinearConstraint(latin, greek))
+    # k*a + m*b over drawn rows a, b: repeats when k = 1 and m = 0
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        k, m = draw(coeff), draw(coeff)
+        vec = tuple(k * p + m * q for p, q in zip(a.vector(), b.vector()))
+        if any(vec):
+            rows.append(LinearConstraint(vec[:x], vec[x:]))
+    return draw(st.permutations(rows))
+
+
+@settings(deadline=None)
+@given(constraint_systems())
+def test_constraint_system_basis_matches_rational_elimination(system):
+    assert constraint_system_basis(system) == reference_system_basis(system)
+
+
+def test_constraint_system_basis_of_figures_matches_rational_elimination():
+    for family in FAMILIES.values():
+        for figure in family.figures.values():
+            found = diagonal_constraints(figure)
+            assert constraint_system_basis(found) == reference_system_basis(found)
 
 
 def test_equivalent_systems():

@@ -154,6 +154,16 @@ def test_symbol_grid_validation():
         SymbolGrid(Role.LATIN, ())
 
 
+@pytest.mark.parametrize("index", [0.0, "a", True, None])
+def test_superposed_grid_rejects_non_integer_indices(index):
+    with pytest.raises(ValueError) as info:
+        SuperposedGrid((((index, 0),),))
+    assert str(info.value) == "cell (0, 0) is not an integer index"
+    with pytest.raises(ValueError) as info:
+        SuperposedGrid((((0, 0), (0, 1)), ((1, 1), (1, index))))
+    assert str(info.value) == "cell (1, 1) is not an integer index"
+
+
 def test_square_validation():
     Square(((1, -4), (0, 99)))  # any integers are allowed
     with pytest.raises(ValueError):

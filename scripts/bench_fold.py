@@ -2,7 +2,8 @@
 
     python3 scripts/bench_fold.py --pr N --out BENCH_N.json \
         --parent PARENT_DIR/result-*-trace0.json \
-        --change CHANGE_DIR/result-*-trace0.json
+        --change CHANGE_DIR/result-*-trace0.json \
+        [--traced PARENT_DIR/result-census-seedN-trace1.json CHANGE_DIR/...]
 
 Each input is a `perfbench/out/result-<workload>-seed<N>-trace0.json` file
 that `perfbench/run.py --trace 0` writes.  Runs pair up by workload and seed;
@@ -10,7 +11,10 @@ every seed must have run on both sides, and all runs must come from one
 machine and one Python.  For each workload and each end-to-end metric of
 the repo's BENCHMARK.json the output gives the median, quartiles and IQR on
 each side, the ratio of the medians (change over parent) and in how many
-pairs the change was better, plus every pair's values.  Standard library only.
+pairs the change was better, plus every pair's values.  Each --traced pair
+of `--trace 1` result files, one run of one workload and seed per side, adds
+that workload's per-layer metrics side by side under "traced".  Standard
+library only.
 """
 from __future__ import annotations
 
@@ -117,16 +121,43 @@ def fold(pr: int, parent_paths: list[str], change_paths: list[str], spec: dict) 
     }
 
 
+def traced(parent_path: str, change_path: str) -> tuple[str, dict]:
+    """(workload, per-layer metrics of both sides) from two --trace 1 result files."""
+    parent, change = (
+        json.loads(Path(path).read_text(encoding="utf-8")) for path in (parent_path, change_path)
+    )
+    keys = [(r["record"]["workload"], r["record"]["seed"], r["record"]["trace"]) for r in (parent, change)]
+    if keys[0] != keys[1] or keys[0][2] != 1:
+        raise ValueError(f"--traced needs one --trace 1 run of one workload and seed per side, got {keys}")
+    return keys[0][0], {
+        "seed": keys[0][1],
+        "metrics": {
+            name: {
+                "unit": metric["unit"],
+                "parent": metric["value"],
+                "change": change["metrics"][name]["value"],
+            }
+            for name, metric in parent["metrics"].items()
+        },
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--parent", nargs="+", required=True, help="the parent's result files")
     parser.add_argument("--change", nargs="+", required=True, help="the change's result files")
     parser.add_argument("--out", required=True, help="the BENCH_<pr>.json to write")
+    parser.add_argument(
+        "--traced", nargs=2, action="append", default=[], metavar=("PARENT", "CHANGE"),
+        help="a --trace 1 result file of each side, for one workload and seed",
+    )
     args = parser.parse_args(argv)
     try:
         spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
         folded = fold(args.pr, args.parent, args.change, spec)
+        if args.traced:
+            folded["traced"] = dict(traced(*pair) for pair in args.traced)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

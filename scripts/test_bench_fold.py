@@ -96,6 +96,20 @@ class FoldTest(unittest.TestCase):
             self.assertEqual(bench_fold.main(argv + ["--change", *change[:2]]), 2)
         self.assertIn("without a partner", err.getvalue())
 
+    def test_traced_runs_go_side_by_side(self):
+        parent, change = self.sides()
+        out = Path(self.dir.name) / "BENCH_12.json"
+        argv = ["--pr", "12", "--out", str(out), "--parent", *parent, "--change", *change]
+        p = self.write("tp.json", result("census", 9, "aaa", 7, 1, trace=1))
+        c = self.write("tc.json", result("census", 9, "bbb", 3, 1, trace=1))
+        self.assertEqual(bench_fold.main(argv + ["--traced", p, c]), 0)
+        census = json.loads(out.read_text())["traced"]["census"]
+        self.assertEqual(census["seed"], 9)
+        self.assertEqual(census["metrics"]["op_p50_ms"], {"unit": "ms", "parent": 7, "change": 3})
+        with redirect_stderr(io.StringIO()) as err:
+            self.assertEqual(bench_fold.main(argv + ["--traced", p, parent[0]]), 2)
+        self.assertIn("one --trace 1 run", err.getvalue())
+
 
 if __name__ == "__main__":
     unittest.main()

@@ -25,7 +25,7 @@ from .construct import (
 )
 from .enumeration import (
     FamilyCensus,
-    canonicalize,
+    _canonical_flat,
     census,
     enumerate_family,
     oracle_search,
@@ -430,10 +430,9 @@ def _cmd_verify(args) -> int:
 
 def _dihedral_representatives(squares):
     """The first square of each symmetry class, in input order."""
-    # one flat tuple per class rather than a tuple of row tuples
     seen: set = set()
     for square in squares:
-        key = _flat(canonicalize(square).square.cells)
+        key = _canonical_flat(_flat(square.cells), square.order)
         if key not in seen:
             seen.add(key)
             yield square
@@ -475,18 +474,20 @@ def _cmd_constraints(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    squares = oracle_search(args.order)
+    try:
+        order = _ascii_int(args.order)
+    except ValueError:
+        raise ValueError(f"--order expects an integer, got {_shorten(repr(args.order))}") from None
+    squares = oracle_search(order)
     if args.count_only:
         if args.format == "structured":
-            print(_json_text({"order": args.order, "count": len(squares)}))
+            print(_json_text({"order": order, "count": len(squares)}))
         else:
-            print(f"order: {args.order}")
+            print(f"order: {order}")
             print(f"squares: {len(squares)}")
         return 0
-    ordered = sorted(
-        squares, key=lambda s: (canonicalize(s).square.cells, s.cells)
-    )
-    _print_squares(ordered, args.format, {"order": args.order})
+    ordered = sorted(squares, key=lambda s: (_canonical_flat(_flat(s.cells), order), s.cells))
+    _print_squares(ordered, args.format, {"order": order})
     return 0
 
 
@@ -542,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "structured"), default="text")
 
     p = sub.add_parser("oracle", help="exhaustively list all magic squares of an order")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", required=True)
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--format", choices=("text", "structured"), default="text")
 

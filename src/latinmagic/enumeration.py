@@ -6,11 +6,12 @@ any figure construction, so family output can be checked against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterator
 
 from .construct import diagonal_constraints, magic_figure, solve_assignments
-from .model import Square, _rref, evaluate, magic_constant
-from .verify import Verdict, _flat, _geometry, _unflat, verify_magic
+from .model import Square, _rref, magic_constant
+from .verify import _flat, _geometry, _is_magic, _unflat
 
 ORACLE_MAX_ORDER = 4
 
@@ -36,14 +37,18 @@ class CanonicalSquare:
     square: Square
 
 
+def _canonical_flat(flat: tuple[int, ...], x: int) -> tuple[int, ...]:
+    """The least of the eight images of row-major cells, as row-major cells."""
+    return min([pick(flat) for pick in _geometry(x).symmetry_pickers])
+
+
 def canonicalize(square: Square) -> CanonicalSquare:
     """The least of the square's eight images, compared as row-major tuples."""
-    x = square.order
     flat = _flat(square.cells)
-    least = min(pick(flat) for pick in _geometry(x).symmetry_pickers)
+    least = _canonical_flat(flat, square.order)
     if least == flat:  # keep the square's own rows rather than copies
         return CanonicalSquare(square)
-    return CanonicalSquare(Square(_unflat(least, x)))
+    return CanonicalSquare(Square(_unflat(least, square.order)))
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,23 @@ class FamilyCensus:
     squares_distinct_dihedral: int
 
 
+def _family_cells(family_id: str, variant: str) -> Iterator[tuple[int, ...]]:
+    """Row-major cells of enumerate_family's squares, each audited by _is_magic."""
+    figure = magic_figure(family_id, variant)
+    constraints = diagonal_constraints(figure)
+    x = figure.order
+    pairs = _flat(figure.cells)
+    for assignment in solve_assignments(constraints, x):
+        latin, greek = assignment.latin_values, assignment.greek_values
+        flat = tuple(latin[l] + greek[g] for l, g in pairs)
+        if not _is_magic(flat, x):
+            raise AssertionError(
+                f"family {family_id} produced a non-magic square for "
+                f"{assignment}; constraint extraction is unsound"
+            )
+        yield flat
+
+
 def enumerate_family(family_id: str, variant: str = "c") -> Iterator[Square]:
     """All squares a family can produce, one per satisfying assignment.
 
@@ -62,33 +84,19 @@ def enumerate_family(family_id: str, variant: str = "c") -> Iterator[Square]:
     can make magic squares is not enumerable and raises ValueError on the
     first step (OrthogonalityError for a figure that repeats a letter pair).
     """
-    figure = magic_figure(family_id, variant)
-    constraints = diagonal_constraints(figure)
-    for assignment in solve_assignments(constraints, figure.order):
-        square = evaluate(figure, assignment)
-        report = verify_magic(square)
-        if report.verdict is not Verdict.MAGIC:
-            raise AssertionError(
-                f"family {family_id} produced a non-magic square for "
-                f"{assignment}; constraint extraction is unsound"
-            )
-        yield square
+    for flat in _family_cells(family_id, variant):
+        yield Square(_unflat(flat, isqrt(len(flat))))
 
 
 def census(family_id: str, variant: str = "c") -> FamilyCensus:
     """Counts for a family: assignments, distinct squares, dihedral classes."""
-    total = 0
-    distinct: set[Cells] = set()
-    classes: set[Cells] = set()
-    for square in enumerate_family(family_id, variant=variant):
-        total += 1
-        distinct.add(square.cells)
-        classes.add(canonicalize(square).square.cells)
+    flats = list(_family_cells(family_id, variant))
+    x = isqrt(len(flats[0])) if flats else 1
     return FamilyCensus(
         family_id=family_id,
-        assignments_total=total,
-        squares_distinct=len(distinct),
-        squares_distinct_dihedral=len(classes),
+        assignments_total=len(flats),
+        squares_distinct=len(set(flats)),
+        squares_distinct_dihedral=len({_canonical_flat(flat, x) for flat in flats}),
     )
 
 

@@ -195,6 +195,13 @@ def verify_magic(square: Square) -> VerificationReport:
     )
 
 
+def _is_magic(flat: tuple[int, ...], x: int) -> bool:
+    """verify_magic's MAGIC verdict for row-major cells, without the report."""
+    target = magic_constant(x)
+    lines_ok = all(sum(pick(flat)) == target for pick in _geometry(x).line_pickers)
+    return lines_ok and sorted(flat) == list(range(1, x * x + 1))
+
+
 @dataclass(frozen=True)
 class RepeatReport:
     """Lines of a component grid that repeat a symbol, with multiplicities."""

@@ -1,5 +1,6 @@
 """Command line behavior: parsing, rendering, subcommands, exit codes."""
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -582,6 +583,23 @@ def test_enumerate_dihedral_dedup(capsys):
     assert out == E3_GRIDS[0] + "\n"
 
 
+# sha256 of the e5.diag dihedral listing on stdout, in each format
+E5_DIHEDRAL_DIGESTS = {
+    "text": "655ff9e18d30141f12dc1627f350490938f1c421b93c2f00f3ed28eaf848ff99",
+    "structured": "ddeae8381a1ffc3ddf470b2c774403e1234ec4be4e72579fa75728616b9be006",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(E5_DIHEDRAL_DIGESTS))
+def test_enumerate_dihedral_listing_is_pinned(capsys, fmt):
+    code, out, _ = cli(
+        capsys, "enumerate", "--family", "e5.diag", "--dedup", "dihedral",
+        "--format", fmt,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == E5_DIHEDRAL_DIGESTS[fmt]
+
+
 def test_enumerate_count_only(capsys):
     code, out, _ = cli(
         capsys, "enumerate", "--family", "e3.reflect", "--count-only"
@@ -742,6 +760,14 @@ def test_oracle_rejects_large_orders(capsys):
     assert code == 2
     assert "capped" in err
     assert cli(capsys, "oracle", "--order", "0")[0] == 2
+
+
+@pytest.mark.parametrize("order", ["\uff13", " 3_0", "3.0", ""])
+def test_oracle_order_takes_only_ascii_decimal_integers(capsys, order):
+    code, out, err = cli(capsys, "oracle", "--order", order, "--count-only")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --order expects an integer, got {order!r}\n"
 
 
 # --- families and usage ----------------------------------------------------------

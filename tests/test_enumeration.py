@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from latinmagic import (
+    FAMILIES,
     FamilyCensus,
     Square,
     ValueAssignment,
@@ -15,6 +16,7 @@ from latinmagic import (
     dihedral_images,
     editor_square,
     enumerate_family,
+    magic_figure,
     oracle_search,
     subset_check,
     verify_magic,
@@ -106,11 +108,12 @@ def test_enumerate_first_family():
     assert len({s.cells for s in squares_found}) == 4
 
 
-def test_enumerate_audits_every_square(monkeypatch):
-    def unsound_solver(constraints, x):
-        yield ValueAssignment((0, 6, 3), (1, 3, 2))  # the Lo Shu
-        yield ValueAssignment((0, 3, 6), (1, 2, 3))  # breaks 2γ = α+β
+def unsound_solver(constraints, x):
+    yield ValueAssignment((0, 6, 3), (1, 3, 2))  # the Lo Shu
+    yield ValueAssignment((0, 3, 6), (1, 2, 3))  # breaks 2γ = α+β
 
+
+def test_enumerate_audits_every_square(monkeypatch):
     monkeypatch.setattr(enumeration, "solve_assignments", unsound_solver)
     found = enumerate_family("e3.reflect")
     assert next(found).cells == LO_SHU_CELLS
@@ -142,6 +145,33 @@ def test_census_counts():
     assert census("e4.diag", variant="d") == FamilyCensus("e4.diag", 576, 576, 144)
     assert census("e5.rotated") == FamilyCensus("e5.rotated", 16, 16, 16)
     assert census("e5.center") == FamilyCensus("e5.center", 576, 576, 144)
+
+
+def test_census_audits_every_square(monkeypatch):
+    monkeypatch.setattr(enumeration, "solve_assignments", unsound_solver)
+    with pytest.raises(AssertionError, match="constraint extraction is unsound"):
+        census("e3.reflect")
+
+
+def _enumerable():
+    for family in FAMILIES.values():
+        for variant in family.figures:
+            try:
+                magic_figure(family.family_id, variant)
+            except ValueError:
+                continue
+            yield family.family_id, variant
+
+
+@pytest.mark.parametrize("family_id, variant", list(_enumerable()))
+def test_census_matches_enumerated_squares(family_id, variant):
+    squares = list(enumerate_family(family_id, variant))
+    assert census(family_id, variant) == FamilyCensus(
+        family_id,
+        len(squares),
+        len({square.cells for square in squares}),
+        len({canonicalize(square).square.cells for square in squares}),
+    )
 
 
 def test_census_is_deterministic():

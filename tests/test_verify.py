@@ -22,6 +22,7 @@ from latinmagic import (
     verify_magic,
     verify_orthogonality,
 )
+from latinmagic.verify import _is_magic
 from helpers import (
     FIGURES,
     GOLDENS,
@@ -236,6 +237,21 @@ def test_verify_magic_matches_reference(square):
     assert report == expected
     assert list(report.line_sums.items()) == list(expected.line_sums.items())
     assert list(line_sums(square).items()) == list(expected.line_sums.items())
+
+
+@given(audit_cases())
+def test_integer_audit_matches_the_magic_verdict(square):
+    flat = tuple(value for row in square.cells for value in row)
+    assert _is_magic(flat, square.order) == (
+        verify_magic(square).verdict is Verdict.MAGIC
+    )
+
+
+def test_integer_audit_accepts_every_known_magic_square():
+    for x, known in MAGIC_BY_ORDER.items():
+        for cells in known:
+            for image in dihedral_images(cells):
+                assert _is_magic(tuple(v for row in image for v in row), x), image
 
 
 def test_row_shuffled_magic_square_is_semi_magic():

@@ -12,6 +12,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from math import isqrt
 
 from .construct import (
     FAMILIES,
@@ -26,12 +27,12 @@ from .construct import (
 from .enumeration import (
     FamilyCensus,
     _canonical_flat,
+    _family_cells,
+    _oracle_flats,
     census,
-    enumerate_family,
-    oracle_search,
 )
 from .model import Square, ValueAssignment
-from .verify import VerificationReport, Verdict, _flat, verify_magic
+from .verify import VerificationReport, Verdict, _unflat, verify_magic
 
 
 class SquareParseError(ValueError):
@@ -374,16 +375,17 @@ def _csv_ints(text: str, flag: str) -> tuple[int, ...]:
         ) from None
 
 
-def _print_squares(squares, fmt: str, header: dict) -> None:
-    """Grids separated by blank lines, streamed, or one structured document."""
+def _print_squares(flats, fmt: str, header: dict) -> None:
+    """Row-major cells as grids separated by blank lines, streamed, or one structured document."""
+    grids = (_unflat(flat, isqrt(len(flat))) for flat in flats)
     if fmt == "structured":
-        listed = [[list(row) for row in square.cells] for square in squares]
+        listed = [[list(row) for row in cells] for cells in grids]
         print(_json_text({**header, "count": len(listed), "squares": listed}))
         return
-    for k, square in enumerate(squares):
+    for k, cells in enumerate(grids):
         if k:
             print()
-        print(_grid_text(square.cells))
+        print(_grid_text(cells))
 
 
 def _cmd_gen(args) -> int:
@@ -428,24 +430,24 @@ def _cmd_verify(args) -> int:
     return 0 if report.verdict is Verdict.MAGIC else 1
 
 
-def _dihedral_representatives(squares):
-    """The first square of each symmetry class, in input order."""
+def _dihedral_representatives(flats):
+    """The first row-major square of each symmetry class, in input order."""
     seen: set = set()
-    for square in squares:
-        key = _canonical_flat(_flat(square.cells), square.order)
+    for flat in flats:
+        key = _canonical_flat(flat, isqrt(len(flat)))
         if key not in seen:
             seen.add(key)
-            yield square
+            yield flat
 
 
 def _cmd_enumerate(args) -> int:
     if args.count_only:
         print(render(census(args.family, variant=args.variant), args.format))
         return 0
-    squares = enumerate_family(args.family, variant=args.variant)
+    flats = _family_cells(args.family, args.variant)
     if args.dedup == "dihedral":
-        squares = _dihedral_representatives(squares)
-    _print_squares(squares, args.format, {"family": args.family})
+        flats = _dihedral_representatives(flats)
+    _print_squares(flats, args.format, {"family": args.family})
     return 0
 
 
@@ -478,15 +480,15 @@ def _cmd_oracle(args) -> int:
         order = _ascii_int(args.order)
     except ValueError:
         raise ValueError(f"--order expects an integer, got {_shorten(repr(args.order))}") from None
-    squares = oracle_search(order)
+    flats = _oracle_flats(order)
     if args.count_only:
         if args.format == "structured":
-            print(_json_text({"order": order, "count": len(squares)}))
+            print(_json_text({"order": order, "count": len(flats)}))
         else:
             print(f"order: {order}")
-            print(f"squares: {len(squares)}")
+            print(f"squares: {len(flats)}")
         return 0
-    ordered = sorted(squares, key=lambda s: (_canonical_flat(_flat(s.cells), order), s.cells))
+    ordered = sorted(flats, key=lambda flat: (_canonical_flat(flat, order), flat))
     _print_squares(ordered, args.format, {"order": order})
     return 0
 

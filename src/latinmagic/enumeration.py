@@ -155,132 +155,130 @@ def _forced_cells(x: int) -> list[tuple | None]:
     return rules
 
 
-def _frenicle_forms(x: int) -> list[Cells]:
-    """The Frénicle normal form of every order-x magic square; see oracle_search."""
-    target = magic_constant(x)
+def _oracle_plan(x: int) -> tuple[tuple, ...]:
+    """The oracle's steps in fill order: (free cell, beyond, chain) per free cell.
+
+    beyond: normal-form comparisons with earlier cells, as (other cell,
+    sign) with (value - other value) * sign > 0.  chain: the forced cells
+    up to the next free cell, as (cell, den, const, terms, coef, beyond)
+    with den * value = const + coef * v + sum(c * value of t for c, t in
+    terms), v the step's free value and t free cells of earlier steps.
+    Orders 1 and 2 have no free cell; their chain follows the spare cell
+    x*x, which takes only the value 0.
+    """
     n = x * x
     last = x - 1
     order = _fill_order(x)
-    forced = _forced_cells(x)
-    lines = _geometry(x).lines
-    lines_at = [
-        tuple(li for li, line in enumerate(lines) if cell in line) for cell in order
-    ]
+    step = {cell: k for k, cell in enumerate(order)}
+    beyond: dict[int, list] = {cell: [] for cell in order}
     # (smaller, larger) cell pairs of the normal form: (0,0) against the
     # other three corners, then (0,1) against (1,0)
-    less = [(0, last), (0, last * x), (0, n - 1), (1, x)] if x > 1 else []
-    step = {cell: k for k, cell in enumerate(order)}
-    above: list[list[int]] = [[] for _ in order]  # cells this step must exceed
-    below: list[list[int]] = [[] for _ in order]  # cells this step must undercut
-    for small, large in less:
-        if step[small] < step[large]:
-            above[step[large]].append(small)
-        else:
-            below[step[small]].append(large)
+    for small, large in [(0, last), (0, last * x), (0, n - 1), (1, x)] if x > 1 else []:
+        later, earlier, sign = (large, small, 1) if step[small] < step[large] else (small, large, -1)
+        beyond[later].append((earlier, sign))
+    steps: list = []
+    for cell, rule in zip(order, _forced_cells(x)):
+        if rule is None:
+            steps.append((cell, tuple(beyond[cell]), []))
+            continue
+        if not steps:
+            steps.append((n, (), []))
+        own, _, chain = steps[-1]
+        den, const, terms = rule
+        coef = sum(c for c, t in terms if t == own)
+        terms = tuple((c, t) for c, t in terms if t != own)
+        chain.append((cell, den, const, terms, coef, tuple(beyond[cell])))
+    return tuple((cell, b, tuple(chain)) for cell, b, chain in steps)
 
-    sums = [0] * len(lines)
-    empties = [x] * len(lines)
-    used = [False] * (n + 1)
-    grid = [0] * n
-    forms: list[Cells] = []
 
-    # cheapest feasibility bounds: e distinct values from 1..n sum to at
-    # least 1+2+..+e and at most n+(n-1)+..+(n-e+1)
-    min_fill = [e * (e + 1) // 2 for e in range(x + 1)]
-    max_fill = [e * n - e * (e - 1) // 2 for e in range(x + 1)]
+def _frenicle_flats(x: int) -> list[tuple[int, ...]]:
+    """The Frénicle normal forms as row-major cells; see oracle_search."""
+    n = x * x
+    steps = _oracle_plan(x)
+    grid = [0] * (n + 1)  # the last is the spare cell
+    flats: list[tuple[int, ...]] = []
 
-    def fill(k: int) -> None:
-        if k == n:
-            forms.append(tuple(tuple(grid[r * x:(r + 1) * x]) for r in range(x)))
+    def fill(k: int, used: int) -> None:
+        """Fill the free steps from k on; bit v of used is set once v is placed."""
+        if k == len(steps):
+            flat = tuple(grid[:n])
+            if not _is_magic(flat, x):
+                raise AssertionError(f"oracle found non-magic {flat}; forced-cell rules are unsound")
+            flats.append(flat)
             return
-        cell = order[k]
-        cell_lines = lines_at[k]
-        lo, hi = 1, n
-        if forced[k] is not None:
-            den, total, terms = forced[k]
-            for coef, c in terms:
-                total += coef * grid[c]
-            if total % den or not den <= total <= n * den:
+        cell, beyond, chain = steps[k]
+        lo, hi = (1, n) if cell < n else (0, 0)
+        for c, s in beyond:
+            lo, hi = (max(lo, grid[c] + 1), hi) if s > 0 else (lo, min(hi, grid[c] - 1))
+        # each chained value is (base + coef*v) / den: keep den <= base + coef*v <= den*n
+        links = []
+        for w, den, base, terms, coef, w_beyond in chain:
+            for c, t in terms:
+                base += c * grid[t]
+            if coef:
+                p, q = (den, den * n) if coef > 0 else (den * n, den)
+                low, high = -((base - p) // coef), (q - base) // coef
+                if low > lo:
+                    lo = low
+                if high < hi:
+                    hi = high
+            elif not den <= base <= den * n:
                 return
-            lo = hi = total // den
-        for li in cell_lines:
-            rest = target - sums[li]
-            e = empties[li] - 1
-            if rest - max_fill[e] > lo:
-                lo = rest - max_fill[e]
-            if rest - min_fill[e] < hi:
-                hi = rest - min_fill[e]
-        for c in above[k]:
-            if grid[c] >= lo:
-                lo = grid[c] + 1
-        for c in below[k]:
-            if grid[c] <= hi:
-                hi = grid[c] - 1
+            links.append((w, den, base, coef, w_beyond))
         for v in range(lo, hi + 1):
-            if used[v]:
+            if used >> v & 1:
                 continue
-            for li in cell_lines:
-                # the line's one remaining cell is then determined
-                if empties[li] == 2:
-                    f = target - sums[li] - v
-                    if f == v or used[f]:
-                        break
+            taken = used | 1 << v
+            grid[cell] = v
+            for w, den, base, coef, w_beyond in links:
+                num = base + coef * v
+                value = num // den
+                if num % den or taken >> value & 1 or w_beyond and any(
+                    (value - grid[c]) * s <= 0 for c, s in w_beyond
+                ):
+                    break
+                grid[w] = value
+                taken |= 1 << value
             else:
-                grid[cell] = v
-                used[v] = True
-                for li in cell_lines:
-                    sums[li] += v
-                    empties[li] -= 1
-                fill(k + 1)
-                used[v] = False
-                for li in cell_lines:
-                    sums[li] -= v
-                    empties[li] += 1
+                fill(k + 1, taken)
 
-    fill(0)
-    return forms
+    fill(0, 0)
+    return flats
+
+
+def _frenicle_forms(x: int) -> list[Cells]:
+    """The Frénicle normal form of every order-x magic square; see oracle_search."""
+    return [_unflat(flat, x) for flat in _frenicle_flats(x)]
+
+
+def _oracle_flats(x: int) -> set[tuple[int, ...]]:
+    """Row-major cells of every order-x magic square; see oracle_search."""
+    if x < 1:
+        raise ValueError(f"order must be >= 1, got {x}")
+    if x > ORACLE_MAX_ORDER:
+        raise ValueError(f"exhaustive search is capped at order {ORACLE_MAX_ORDER}, got {x}")
+    return {pick(flat) for flat in _frenicle_flats(x) for pick in _geometry(x).symmetry_pickers}
 
 
 def oracle_search(x: int) -> set[Square]:
     """Every order-x magic square over 1..x*x, by exhaustive backtracking.
 
-    Fill order: the four corners first, then the rest of both diagonals,
-    then at each step the cell on the line with the fewest empty cells, so
-    rows and columns close early and their last cells are forced.
-
-    Normal form: only Frénicle normal forms are searched, in which cell
-    (0,0) is smaller than the other three corners and cell (0,1) is smaller
-    than cell (1,0); each comparison bounds the later-filled of its two
-    cells.  Every class of squares under the eight rotations and reflections
-    has exactly one normal form.  The values are distinct, so one corner is
-    the smallest, and exactly two of the eight symmetries put it at (0,0).
-    Those two are transposes of each other, and transposing swaps (0,1) and
-    (1,0), so exactly one of them has (0,1) < (1,0).  Order 1 has a single
-    cell and no comparisons.
-
-    Each cell's candidates form one integer range: every line through it
-    must still be completable by distinct values from 1..x*x, so a line's
-    last cell is forced.  Forcing: the line sums are linear equations, so
-    some cells are fixed by the cells filled before them; at order 4 the
-    four corners sum to the magic constant, so the fourth corner is one.
-    _forced_cells finds every such cell (9 of 16 at order 4) with model._rref,
-    the exact integer elimination that also reduces the diagonal constraints,
-    and the search computes its value instead of trying each one,
-    pruning when the value is not an integer in 1..x*x.  Each rule is a sum
-    of multiples of line equations, so every magic square satisfies it and
-    no square is lost.  Expansion: each normal form is mapped by
-    dihedral_images to its whole class.  The search space explodes beyond
-    order 4, so larger orders are rejected.
+    Only Frénicle normal forms are searched: (0,0) is the smallest corner
+    and (0,1) < (1,0).  Each class under the eight symmetries has exactly
+    one, since the two symmetries that put the smallest corner at (0,0)
+    are transposes of each other and swap (0,1) and (1,0).  The cells are
+    filled corners first, then diagonals.  _forced_cells reduces the 2x+2
+    line equations with model._rref; each row fixes one cell from free
+    cells filled before it (9 of 16 at order 4).  The search recurses over
+    the free cells only, and each forced cell up to the next free cell is
+    linear in the newest free value v: v's range keeps them in 1..x*x, and
+    a v is dropped when one is not an integer, repeats a value or breaks a
+    comparison.  No line sums are tracked: the rules span the line
+    equations, so distinct values in 1..x*x that meet them form a magic
+    square, and every magic square meets them.  Each form is audited, then
+    mapped over flat row-major cells to its class.  Orders above 4 fail.
     """
-    if x < 1:
-        raise ValueError(f"order must be >= 1, got {x}")
-    if x > ORACLE_MAX_ORDER:
-        raise ValueError(
-            f"exhaustive search is capped at order {ORACLE_MAX_ORDER}, got {x}"
-        )
-    return {
-        Square(cells) for form in _frenicle_forms(x) for cells in dihedral_images(form)
-    }
+    return {Square(_unflat(flat, x)) for flat in _oracle_flats(x)}
 
 
 @dataclass(frozen=True)

@@ -600,6 +600,22 @@ def test_enumerate_dihedral_listing_is_pinned(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == E5_DIHEDRAL_DIGESTS[fmt]
 
 
+# sha256 of the full oracle listings on stdout, per order and format
+ORACLE_LISTING_DIGESTS = {
+    (3, "text"): "6faaf1fcca8e48b0cea925dac261863d33a3a661f4b6494171743f4c217e6591",
+    (3, "structured"): "f229f8f00bdaa4afd08d86a2b84f98b26a7358db0af757227d4fb464c69f256b",
+    (4, "text"): "8598dde3b187d85f87dc20c8cb8fa08769591e46f01b33fb1f8b2873682ba475",
+    (4, "structured"): "eaf61f8203f045816e68c2c60e7b3369cb46e17220a60b3658c566de10c64822",
+}
+
+
+@pytest.mark.parametrize("order, fmt", sorted(ORACLE_LISTING_DIGESTS))
+def test_oracle_listing_is_pinned(capsys, order, fmt):
+    code, out, _ = cli(capsys, "oracle", "--order", str(order), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_LISTING_DIGESTS[order, fmt]
+
+
 def test_enumerate_count_only(capsys):
     code, out, _ = cli(
         capsys, "enumerate", "--family", "e3.reflect", "--count-only"

@@ -22,7 +22,15 @@ from latinmagic import (
     verify_magic,
 )
 from latinmagic import enumeration
-from latinmagic.enumeration import _fill_order, _forced_cells, _frenicle_forms
+from latinmagic.enumeration import (
+    _fill_order,
+    _forced_cells,
+    _frenicle_flats,
+    _frenicle_forms,
+    _oracle_flats,
+    _oracle_plan,
+)
+from latinmagic.verify import _flat
 from helpers import GOLDENS, load_square
 
 LO_SHU_CELLS = ((2, 9, 4), (7, 5, 3), (6, 1, 8))
@@ -300,6 +308,46 @@ def test_frenicle_forms_are_pairwise_inequivalent_normal_forms(x):
             assert cells[0][1] < cells[1][0]
     assert len({canonicalize(Square(cells)) for cells in forms}) == len(forms)
     assert len(forms) == {1: 1, 2: 0, 3: 1, 4: 880}[x]
+
+
+def test_oracle_flats_are_oracle_search_cells(oracle3, oracle4):
+    for x, squares in ((1, oracle_search(1)), (2, oracle_search(2)), (3, oracle3), (4, oracle4)):
+        assert _oracle_flats(x) == {_flat(s.cells) for s in squares}
+
+
+@pytest.mark.parametrize("x", range(1, 9))
+def test_oracle_plan_reads_only_placed_cells(x):
+    steps = _oracle_plan(x)
+    free = {cell for cell, _, _ in steps}
+    placed = []
+    for cell, beyond, chain in steps:
+        assert all(c in placed for c, _ in beyond)
+        placed.append(cell)
+        for link, _, _, terms, coef, link_beyond in chain:
+            assert link not in placed
+            assert cell not in {t for _, t in terms}
+            assert all(t in placed and t in free for _, t in terms)
+            assert all(c in placed for c, _ in link_beyond)
+            assert coef == 0 or cell < x * x  # the spare cell has no value
+            placed.append(link)
+    spare = [x * x] if x <= 2 else []
+    assert placed == spare + list(_fill_order(x))
+
+
+@pytest.mark.parametrize("rules", [
+    [None, (2, 5, ()), (2, 7, ()), (2, 8, ())],
+    [(2, 3, ()), (2, 5, ()), (2, 7, ()), (2, 8, ())],
+], ids=["chain after free cell 0", "leading chain"])
+def test_oracle_rejects_forced_values_with_a_remainder(monkeypatch, rules):
+    # rounding each value down would give the non-magic grid 1 2 / 3 4
+    monkeypatch.setattr(enumeration, "_forced_cells", lambda x: rules)
+    assert _frenicle_flats(2) == []
+
+
+def test_oracle_audits_every_form(monkeypatch):
+    monkeypatch.setattr(enumeration, "_is_magic", lambda flat, x: False)
+    with pytest.raises(AssertionError, match="forced-cell rules are unsound"):
+        _frenicle_forms(3)
 
 
 def test_subset_check_passes_for_order_three_families(oracle3):

@@ -13,8 +13,8 @@ the repo's BENCHMARK.json the output gives the median, quartiles and IQR on
 each side, the ratio of the medians (change over parent) and in how many
 pairs the change was better, plus every pair's values.  Each --traced pair
 of `--trace 1` result files, one run of one workload and seed per side, adds
-that workload's per-layer metrics side by side under "traced".  Standard
-library only.
+its per-layer metrics side by side to that workload's list under "traced",
+in the order given.  Standard library only.
 """
 from __future__ import annotations
 
@@ -157,7 +157,10 @@ def main(argv=None) -> int:
         spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
         folded = fold(args.pr, args.parent, args.change, spec)
         if args.traced:
-            folded["traced"] = dict(traced(*pair) for pair in args.traced)
+            folded["traced"] = {}
+            for pair in args.traced:
+                workload, runs = traced(*pair)
+                folded["traced"].setdefault(workload, []).append(runs)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -102,10 +102,14 @@ class FoldTest(unittest.TestCase):
         argv = ["--pr", "12", "--out", str(out), "--parent", *parent, "--change", *change]
         p = self.write("tp.json", result("census", 9, "aaa", 7, 1, trace=1))
         c = self.write("tc.json", result("census", 9, "bbb", 3, 1, trace=1))
-        self.assertEqual(bench_fold.main(argv + ["--traced", p, c]), 0)
-        census = json.loads(out.read_text())["traced"]["census"]
-        self.assertEqual(census["seed"], 9)
-        self.assertEqual(census["metrics"]["op_p50_ms"], {"unit": "ms", "parent": 7, "change": 3})
+        p2 = self.write("tp2.json", result("census", 10, "aaa", 8, 1, trace=1))
+        c2 = self.write("tc2.json", result("census", 10, "bbb", 4, 1, trace=1))
+        self.assertEqual(bench_fold.main(argv + ["--traced", p, c, "--traced", p2, c2]), 0)
+        first, second = json.loads(out.read_text())["traced"]["census"]
+        self.assertEqual(first["seed"], 9)
+        self.assertEqual(first["metrics"]["op_p50_ms"], {"unit": "ms", "parent": 7, "change": 3})
+        self.assertEqual(second["seed"], 10)
+        self.assertEqual(second["metrics"]["op_p50_ms"], {"unit": "ms", "parent": 8, "change": 4})
         with redirect_stderr(io.StringIO()) as err:
             self.assertEqual(bench_fold.main(argv + ["--traced", p, parent[0]]), 2)
         self.assertIn("one --trace 1 run", err.getvalue())

@@ -32,7 +32,7 @@ from .enumeration import (
     census,
 )
 from .model import Square, ValueAssignment
-from .verify import VerificationReport, Verdict, _unflat, verify_magic
+from .verify import VerificationReport, Verdict, verify_magic
 
 
 class SquareParseError(ValueError):
@@ -376,16 +376,38 @@ def _csv_ints(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _print_squares(flats, fmt: str, header: dict) -> None:
-    """Row-major cells as grids separated by blank lines, streamed, or one structured document."""
-    grids = (_unflat(flat, isqrt(len(flat))) for flat in flats)
-    if fmt == "structured":
-        listed = [[list(row) for row in cells] for cells in grids]
-        print(_json_text({**header, "count": len(listed), "squares": listed}))
+    """Audited row-major squares as grids separated by blank lines, streamed,
+    or as one structured document.
+
+    Every square of a listing has the first one's order x and holds
+    1..x*x, so one %-template prints them all: in text each value is
+    right-aligned to the width of x*x, as _grid_text aligns it, and the
+    structured squares are laid out as json.dumps(indent=2) lays them out.
+    """
+    flats = iter(flats)
+    first = next(flats, None)
+    if first is None:
+        if fmt == "structured":
+            print(_json_text({**header, "count": 0, "squares": []}))
         return
-    for k, cells in enumerate(grids):
-        if k:
-            print()
-        print(_grid_text(cells))
+    x = isqrt(len(first))
+    if fmt == "structured":
+        listed = [first, *flats]
+        row = "[\n" + ",\n".join(["        %d"] * x) + "\n      ]"
+        square = "[\n" + ",\n".join(["      " + row] * x) + "\n    ]"
+        # json.dumps(indent=2) ends a non-empty object with "\n}"; the
+        # squares go in as its last key
+        head = _json_text({**header, "count": len(listed)}).removesuffix("\n}")
+        body = ",\n    ".join([square % flat for flat in listed])
+        print(head + ',\n  "squares": [\n    ' + body + "\n  ]\n}")
+        return
+    width = len(str(x * x))
+    grid = "\n".join([" ".join([f"%{width}d"] * x)] * x)
+    write = sys.stdout.write
+    write(grid % first + "\n")
+    grid = "\n" + grid + "\n"
+    for flat in flats:
+        write(grid % flat)
 
 
 def _cmd_gen(args) -> int:

@@ -6,12 +6,14 @@ any figure construction, so family output can be checked against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
+from operator import add
 from typing import Iterator
 
 from .construct import diagonal_constraints, magic_figure, solve_assignments
 from .model import Square, _rref, magic_constant
-from .verify import _flat, _geometry, _is_magic, _unflat
+from .verify import _flat, _geometry, _is_magic, _picker, _unflat
 
 ORACLE_MAX_ORDER = 4
 
@@ -38,8 +40,23 @@ class CanonicalSquare:
 
 
 def _canonical_flat(flat: tuple[int, ...], x: int) -> tuple[int, ...]:
-    """The least of the eight images of row-major cells, as row-major cells."""
-    return min([pick(flat) for pick in _geometry(x).symmetry_pickers])
+    """The least of the eight images of row-major cells, as row-major cells.
+
+    Every image starts with a corner, so the least image starts with the
+    least corner value, and only the images that start with a corner
+    holding it are compared: the two of that corner when one corner holds
+    it, two per corner when corners tie (and all eight, four times over,
+    at order 1, whose four corners are one cell).
+    """
+    geometry = _geometry(x)
+    corners = geometry.corner_picker(flat)
+    least = min(corners)
+    return min([
+        pick(flat)
+        for corner, picks in zip(corners, geometry.corner_pickers)
+        if corner == least
+        for pick in picks
+    ])
 
 
 def canonicalize(square: Square) -> CanonicalSquare:
@@ -60,14 +77,22 @@ class FamilyCensus:
 
 
 def _family_cells(family_id: str, variant: str) -> Iterator[tuple[int, ...]]:
-    """Row-major cells of enumerate_family's squares, each audited by _is_magic."""
+    """Row-major cells of enumerate_family's squares, each audited by _is_magic.
+
+    Each cell is its Latin letter's value plus its Greek letter's: the
+    figure's two letter grids are pickers over the value tuples, each
+    remembered for this call (an alphabet has at most x! value tuples),
+    and a square is the cellwise sum of the two picks.
+    """
     figure = magic_figure(family_id, variant)
     constraints = diagonal_constraints(figure)
     x = figure.order
     pairs = _flat(figure.cells)
+    pick_latin = lru_cache(maxsize=None)(_picker(tuple(l for l, _ in pairs)))
+    pick_greek = lru_cache(maxsize=None)(_picker(tuple(g for _, g in pairs)))
     for assignment in solve_assignments(constraints, x):
         latin, greek = assignment.latin_values, assignment.greek_values
-        flat = tuple(latin[l] + greek[g] for l, g in pairs)
+        flat = tuple(map(add, pick_latin(latin), pick_greek(greek)))
         if not _is_magic(flat, x):
             raise AssertionError(
                 f"family {family_id} produced a non-magic square for "
@@ -244,11 +269,6 @@ def _frenicle_flats(x: int) -> list[tuple[int, ...]]:
 
     fill(0, 0)
     return flats
-
-
-def _frenicle_forms(x: int) -> list[Cells]:
-    """The Frénicle normal form of every order-x magic square; see oracle_search."""
-    return [_unflat(flat, x) for flat in _frenicle_flats(x)]
 
 
 def _oracle_flats(x: int) -> set[tuple[int, ...]]:

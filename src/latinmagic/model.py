@@ -146,7 +146,7 @@ class ValueAssignment:
             )
         if x == 0:
             raise ValueError("value assignment must cover at least one letter")
-        if sorted(self.latin_values) != [i * x for i in range(x)]:
+        if sorted(self.latin_values) != list(range(0, x * x, x)):
             raise ValueError(
                 f"latin values must be a permutation of multiples of {x} "
                 f"(0..{(x - 1) * x}), got {list(self.latin_values)}"

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from math import isqrt
 from pathlib import Path
 from unittest import mock
 
@@ -17,6 +18,7 @@ import latinmagic
 from latinmagic import FAMILIES, Square, dihedral_images, verify_magic
 from latinmagic import cli as cli_module, construct
 from latinmagic.cli import SquareDocument, SquareParseError, parse_square, render, run
+from latinmagic.verify import _unflat
 from helpers import DATA_DIR, load_square
 
 GOLDEN_E3 = str(DATA_DIR / "golden_e3_reflect.txt")
@@ -614,6 +616,46 @@ def test_oracle_listing_is_pinned(capsys, order, fmt):
     code, out, _ = cli(capsys, "oracle", "--order", str(order), "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_LISTING_DIGESTS[order, fmt]
+
+
+# the full oracle listings of orders 1 and 2: one square of one one-digit
+# cell, and no square at all
+ORACLE_SMALL_LISTINGS = {
+    (1, "text"): "1\n",
+    (1, "structured"): (
+        '{\n  "order": 1,\n  "count": 1,\n  "squares": [\n    [\n      [\n'
+        '        1\n      ]\n    ]\n  ]\n}\n'
+    ),
+    (2, "text"): "",
+    (2, "structured"): '{\n  "order": 2,\n  "count": 0,\n  "squares": []\n}\n',
+}
+
+
+@pytest.mark.parametrize("order, fmt", sorted(ORACLE_SMALL_LISTINGS))
+def test_oracle_listing_of_orders_one_and_two(capsys, order, fmt):
+    code, out, _ = cli(capsys, "oracle", "--order", str(order), "--format", fmt)
+    assert (code, out) == (0, ORACLE_SMALL_LISTINGS[order, fmt])
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda x: st.lists(st.permutations(range(1, x * x + 1)).map(tuple), min_size=1, max_size=3)
+))
+def test_listing_templates_match_grid_text_and_json(flats):
+    x = isqrt(len(flats[0]))
+    grids = [_unflat(flat, x) for flat in flats]
+    header = {"family": "e5.diag"}
+    expected = {
+        "text": "\n\n".join(cli_module._grid_text(cells) for cells in grids) + "\n",
+        "structured": json.dumps(
+            {**header, "count": len(grids), "squares": [[list(r) for r in g] for g in grids]},
+            indent=2,
+        ) + "\n",
+    }
+    for fmt, text in expected.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli_module._print_squares(iter(flats), fmt, header)
+        assert out.getvalue() == text
 
 
 def test_enumerate_count_only(capsys):

@@ -23,14 +23,14 @@ from latinmagic import (
 )
 from latinmagic import enumeration
 from latinmagic.enumeration import (
+    _canonical_flat,
     _fill_order,
     _forced_cells,
     _frenicle_flats,
-    _frenicle_forms,
     _oracle_flats,
     _oracle_plan,
 )
-from latinmagic.verify import _flat
+from latinmagic.verify import _flat, _unflat
 from helpers import GOLDENS, load_square
 
 LO_SHU_CELLS = ((2, 9, 4), (7, 5, 3), (6, 1, 8))
@@ -105,6 +105,49 @@ def test_canonicalize_is_orbit_invariant(square):
     for image in dihedral_images(square.cells):
         assert canonicalize(Square(image)) == canon
     assert canon.square.cells == min(dihedral_images(square.cells))
+
+
+def _least_image(flat, x):
+    """The least of the eight images, turned and mirrored by the helpers above."""
+    cells = _unflat(flat, x)
+    images = []
+    for _ in range(4):
+        images += [cells, _mirror(cells)]
+        cells = _quarter_turn(cells)
+    return min(_flat(image) for image in images)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda x: st.tuples(
+            st.just(x),
+            st.lists(st.integers(0, 3), min_size=x * x, max_size=x * x).map(tuple),
+        )
+    )
+)
+def test_canonical_key_is_the_least_image_when_values_repeat(case):
+    x, flat = case
+    assert _canonical_flat(flat, x) == _least_image(flat, x)
+
+
+@pytest.mark.parametrize("corners", [
+    (1, 1, 5, 6), (1, 5, 1, 6), (1, 5, 6, 1), (5, 1, 1, 6), (5, 1, 6, 1), (5, 6, 1, 1),
+    (1, 1, 1, 6), (1, 1, 6, 1), (1, 6, 1, 1), (6, 1, 1, 1),
+    (1, 1, 1, 1),
+])
+def test_canonical_key_with_tied_corners(corners):
+    x = 4
+    for rest in (range(20, 32), range(31, 19, -1)):
+        flat = list(rest)
+        for cell, value in zip((0, 3, 12, 15), corners):
+            flat.insert(cell, value)
+        flat = tuple(flat)
+        assert _canonical_flat(flat, x) == _least_image(flat, x)
+
+
+def test_canonical_key_of_every_order_four_square():
+    for flat in _oracle_flats(4):
+        assert _canonical_flat(flat, 4) == _least_image(flat, 4)
 
 
 def test_enumerate_first_family():
@@ -298,7 +341,7 @@ def test_fill_order_visits_each_cell_once(x):
 
 @pytest.mark.parametrize("x", [1, 2, 3, 4])
 def test_frenicle_forms_are_pairwise_inequivalent_normal_forms(x):
-    forms = _frenicle_forms(x)
+    forms = [_unflat(flat, x) for flat in _frenicle_flats(x)]
     last = x - 1
     for cells in forms:
         assert verify_magic(Square(cells)).verdict is Verdict.MAGIC
@@ -347,7 +390,7 @@ def test_oracle_rejects_forced_values_with_a_remainder(monkeypatch, rules):
 def test_oracle_audits_every_form(monkeypatch):
     monkeypatch.setattr(enumeration, "_is_magic", lambda flat, x: False)
     with pytest.raises(AssertionError, match="forced-cell rules are unsound"):
-        _frenicle_forms(3)
+        [_unflat(flat, 3) for flat in _frenicle_flats(3)]
 
 
 def test_subset_check_passes_for_order_three_families(oracle3):

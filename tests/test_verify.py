@@ -22,7 +22,7 @@ from latinmagic import (
     verify_magic,
     verify_orthogonality,
 )
-from latinmagic.verify import _is_magic
+from latinmagic.verify import _flat, _geometry, _is_magic
 from helpers import (
     FIGURES,
     GOLDENS,
@@ -252,6 +252,101 @@ def test_integer_audit_accepts_every_known_magic_square():
         for cells in known:
             for image in dihedral_images(cells):
                 assert _is_magic(tuple(v for row in image for v in row), x), image
+
+
+def _siamese(x):
+    """De la Loubère's magic square of odd order x."""
+    cells = [[0] * x for _ in range(x)]
+    i, j = 0, x // 2
+    for value in range(1, x * x + 1):
+        cells[i][j] = value
+        up, right = (i - 1) % x, (j + 1) % x
+        i, j = (up, right) if not cells[up][right] else ((i + 1) % x, j)
+    return tuple(map(tuple, cells))
+
+
+def _doubly_even(x):
+    """The magic square of order x = 4k: 1..x*x row by row, with the cells
+    on the diagonals of every 4x4 block replaced by x*x + 1 - value."""
+    return tuple(
+        tuple(
+            x * x - v + 1 if (i % 4 in (0, 3)) == (j % 4 in (0, 3)) else v
+            for j, v in enumerate(range(i * x + 1, (i + 1) * x + 1))
+        )
+        for i in range(x)
+    )
+
+
+LARGE_MAGIC = {7: _siamese(7), 8: _doubly_even(8)}
+
+
+def large_audit_cases():
+    """Squares of orders 7 and 8, drawn as audit_cases draws them, plus
+    magic squares with one diagonal broken or two cells swapped, and
+    squares whose lines all hit the sum with repeated values."""
+
+    def of_order(x):
+        magic = LARGE_MAGIC[x]
+        return st.one_of(
+            st.permutations(range(1, x * x + 1)).map(lambda v: _grid(x, v)),
+            st.lists(
+                st.integers(-2, x * x + 2), min_size=x * x, max_size=x * x
+            ).map(lambda v: _grid(x, v)),
+            st.sampled_from(dihedral_images(magic)).map(Square),
+            st.permutations(range(x)).map(
+                lambda rows: Square(tuple(magic[i] for i in rows))
+            ),
+            st.tuples(
+                st.sampled_from(dihedral_images(magic)), st.permutations(range(x)), st.booleans()
+            ).map(_conjugated),
+            st.tuples(st.integers(0, x * x - 1), st.integers(0, x * x - 1)).map(
+                lambda swap: _grid(x, _swapped(_flat(magic), *swap))
+            ),
+            st.sampled_from(dihedral_images(magic)[1:]).map(
+                lambda image: _grid(
+                    x, [2 * a - b for a, b in zip(_flat(magic), _flat(image))]
+                )
+            ),
+        )
+
+    return st.sampled_from(sorted(LARGE_MAGIC)).flatmap(of_order)
+
+
+def _conjugated(case):
+    """Rows and columns of a square reordered alike, which keeps the main
+    diagonal's sum and usually breaks the anti diagonal, optionally mirrored
+    left to right, which swaps the two."""
+    cells, perm, mirror = case
+    cells = tuple(tuple(cells[i][j] for j in perm) for i in perm)
+    return Square(tuple(row[::-1] for row in cells) if mirror else cells)
+
+
+def _swapped(values, a, b):
+    values = list(values)
+    values[a], values[b] = values[b], values[a]
+    return values
+
+
+def test_large_squares_are_magic():
+    for x, cells in LARGE_MAGIC.items():
+        assert reference_verify_magic(Square(cells)).verdict is Verdict.MAGIC, x
+
+
+@given(large_audit_cases())
+def test_integer_audit_matches_the_magic_verdict_at_orders_7_and_8(square):
+    flat = _flat(square.cells)
+    assert _is_magic(flat, square.order) == (
+        verify_magic(square).verdict is Verdict.MAGIC
+    )
+
+
+def test_verify_magic_leaves_the_compiled_audit_unbuilt():
+    x = 60
+    square = Square(_doubly_even(x))
+    assert verify_magic(square).verdict is Verdict.MAGIC
+    assert "is_magic" not in vars(_geometry(x))
+    assert _is_magic(_flat(square.cells), x)
+    assert "is_magic" in vars(_geometry(x))
 
 
 def test_row_shuffled_magic_square_is_semi_magic():

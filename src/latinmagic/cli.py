@@ -11,7 +11,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from math import isqrt
 
 from .construct import (
@@ -31,7 +30,7 @@ from .enumeration import (
     _oracle_flats,
     census,
 )
-from .model import Square, ValueAssignment
+from .model import Square, ValueAssignment, _Record
 from .verify import VerificationReport, Verdict, verify_magic
 
 
@@ -91,15 +90,29 @@ def _json_integer(literal: str) -> int | _LongInteger:
     return _LongInteger(literal) if _too_long(literal) else int(literal)
 
 
-@dataclass(frozen=True)
-class SquareDocument:
+class SquareDocument(_Record):
     """A square plus optional provenance metadata, ready to serialize."""
 
     order: int
     cells: tuple[tuple[int, ...], ...]
-    family: str | None = None
-    latin_values: tuple[int, ...] | None = None
-    greek_values: tuple[int, ...] | None = None
+    family: str | None
+    latin_values: tuple[int, ...] | None
+    greek_values: tuple[int, ...] | None
+
+    def __init__(
+        self,
+        order: int,
+        cells: tuple[tuple[int, ...], ...],
+        family: str | None = None,
+        latin_values: tuple[int, ...] | None = None,
+        greek_values: tuple[int, ...] | None = None,
+    ) -> None:
+        fields = self.__dict__
+        fields["order"] = order
+        fields["cells"] = cells
+        fields["family"] = family
+        fields["latin_values"] = latin_values
+        fields["greek_values"] = greek_values
 
 
 def parse_square(text: str) -> SquareDocument:

@@ -8,7 +8,6 @@ the figure yields magic squares.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .model import (
@@ -21,6 +20,7 @@ from .model import (
     SymbolId,
     ValueAssignment,
     _primitive,
+    _Record,
     _reduce,
     _rref,
     evaluate,
@@ -134,8 +134,7 @@ def rotate_lines(grid: SuperposedGrid, axis: str, shift: int) -> SuperposedGrid:
     return SuperposedGrid(cells)
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(_Record):
     """A linear condition on letter values: sum of coeff * value == 0.
 
     Coefficients are integers listed per alphabet in letter order.  Within
@@ -146,21 +145,24 @@ class LinearConstraint:
     latin: tuple[int, ...]
     greek: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        for side, coeffs in (("latin", self.latin), ("greek", self.greek)):
+    def __init__(self, latin: tuple[int, ...], greek: tuple[int, ...]) -> None:
+        for side, coeffs in (("latin", latin), ("greek", greek)):
             for k, c in enumerate(coeffs):
                 if not isinstance(c, int) or isinstance(c, bool):
                     raise ValueError(
                         f"{side} coefficient {k} is not an integer: {c!r}"
                     )
-        if len(self.latin) != len(self.greek):
+        if len(latin) != len(greek):
             raise ValueError("latin and greek coefficient lists differ in length")
-        if not self.latin:
+        if not latin:
             raise ValueError("constraint must cover at least one letter")
-        if sum(self.latin) != 0 or sum(self.greek) != 0:
+        if sum(latin) != 0 or sum(greek) != 0:
             raise ValueError("coefficients must sum to zero within each alphabet")
-        if not any(self.latin) and not any(self.greek):
+        if not any(latin) and not any(greek):
             raise ValueError("constraint must have a nonzero coefficient")
+        fields = self.__dict__
+        fields["latin"] = latin
+        fields["greek"] = greek
 
     @property
     def order(self) -> int:
@@ -423,14 +425,32 @@ _EDITOR_CELLS = (
 )
 
 
-@dataclass(frozen=True)
-class Family:
-    """A named family: id, order, summary and variant -> figure ({} if fixed)."""
+class Family(_Record):
+    """A named family: id, order, summary and variant -> figure ({} if fixed).
+
+    Families compare by all four fields and hash by the first three.
+    """
 
     family_id: str
     order: int
     summary: str
-    figures: dict[str, SuperposedGrid] = field(default_factory=dict, hash=False)
+    figures: dict[str, SuperposedGrid]
+
+    def __init__(
+        self,
+        family_id: str,
+        order: int,
+        summary: str,
+        figures: dict[str, SuperposedGrid] | None = None,
+    ) -> None:
+        fields = self.__dict__
+        fields["family_id"] = family_id
+        fields["order"] = order
+        fields["summary"] = summary
+        fields["figures"] = {} if figures is None else figures
+
+    def __hash__(self) -> int:
+        return hash((self.family_id, self.order, self.summary))
 
 
 FAMILIES: dict[str, Family] = {

@@ -5,14 +5,13 @@ any figure construction, so family output can be checked against it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 from operator import add
 from typing import Iterator
 
 from .construct import diagonal_constraints, magic_figure, solve_assignments
-from .model import Square, _rref, magic_constant
+from .model import Square, _Record, _rref, magic_constant
 from .verify import _flat, _geometry, _is_magic, _picker, _unflat
 
 ORACLE_MAX_ORDER = 4
@@ -32,11 +31,13 @@ def dihedral_images(cells: Cells) -> tuple[Cells, ...]:
     return (cells, *(_unflat(pick(flat), x) for pick in pickers))
 
 
-@dataclass(frozen=True)
-class CanonicalSquare:
+class CanonicalSquare(_Record):
     """The row-major lexicographic minimum over a square's dihedral orbit."""
 
     square: Square
+
+    def __init__(self, square: Square) -> None:
+        self.__dict__["square"] = square
 
 
 def _canonical_flat(flat: tuple[int, ...], x: int) -> tuple[int, ...]:
@@ -68,12 +69,24 @@ def canonicalize(square: Square) -> CanonicalSquare:
     return CanonicalSquare(Square(_unflat(least, square.order)))
 
 
-@dataclass(frozen=True)
-class FamilyCensus:
+class FamilyCensus(_Record):
     family_id: str
     assignments_total: int
     squares_distinct: int
     squares_distinct_dihedral: int
+
+    def __init__(
+        self,
+        family_id: str,
+        assignments_total: int,
+        squares_distinct: int,
+        squares_distinct_dihedral: int,
+    ) -> None:
+        fields = self.__dict__
+        fields["family_id"] = family_id
+        fields["assignments_total"] = assignments_total
+        fields["squares_distinct"] = squares_distinct
+        fields["squares_distinct_dihedral"] = squares_distinct_dihedral
 
 
 def _family_cells(family_id: str, variant: str) -> Iterator[tuple[int, ...]]:
@@ -301,12 +314,16 @@ def oracle_search(x: int) -> set[Square]:
     return {Square(_unflat(flat, x)) for flat in _oracle_flats(x)}
 
 
-@dataclass(frozen=True)
-class SubsetReport:
+class SubsetReport(_Record):
     """Result of checking a family's output against an oracle set."""
 
     ok: bool
     missing: tuple[Square, ...]
+
+    def __init__(self, ok: bool, missing: tuple[Square, ...]) -> None:
+        fields = self.__dict__
+        fields["ok"] = ok
+        fields["missing"] = missing
 
 
 def subset_check(

@@ -5,15 +5,49 @@ and 1 <= n <= x.  The multiples-of-x part is written with Latin letters and
 the 1..x part with Greek letters, so an x-by-x grid of letter pairs plus a
 value for each letter determines a numeric square.  The types here are
 immutable values; all operations are pure.
+
+Each value type is a _Record subclass: a hand-written __init__ runs the
+type's checks and sets its fields once, and the base gives equality,
+hashing and repr by those fields and refuses any assignment or deletion
+afterwards.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
 LATIN_LETTERS = "abcdef"
 GREEK_LETTERS = "αβγδεζ"
+
+
+class _Record:
+    """An immutable value compared, hashed and shown by its fields.
+
+    A subclass's __init__ runs its checks, then writes each field, in
+    order, into self.__dict__, which holds nothing else; any later
+    assignment or deletion raises AttributeError.  Records are equal only
+    to records of the same class with equal fields.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in self.__dict__.items()
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Role(Enum):
@@ -23,16 +57,18 @@ class Role(Enum):
     GREEK = "greek"
 
 
-@dataclass(frozen=True)
-class SymbolId:
+class SymbolId(_Record):
     """One abstract symbol: a role plus a 0-based index within its alphabet."""
 
     role: Role
     index: int
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"symbol index must be >= 0, got {self.index}")
+    def __init__(self, role: Role, index: int) -> None:
+        if index < 0:
+            raise ValueError(f"symbol index must be >= 0, got {index}")
+        fields = self.__dict__
+        fields["role"] = role
+        fields["index"] = index
 
     @property
     def letter(self) -> str:
@@ -57,8 +93,7 @@ def _check_square(cells: tuple, what: str) -> int:
     return order
 
 
-@dataclass(frozen=True)
-class SymbolGrid:
+class SymbolGrid(_Record):
     """A square grid of symbol indices drawn from a single alphabet.
 
     Cells hold 0-based indices; row 0 is the top row and cell (i, j) sits at
@@ -69,9 +104,9 @@ class SymbolGrid:
     role: Role
     cells: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        order = _check_square(self.cells, "symbol grid")
-        for i, row in enumerate(self.cells):
+    def __init__(self, role: Role, cells: tuple[tuple[int, ...], ...]) -> None:
+        order = _check_square(cells, "symbol grid")
+        for i, row in enumerate(cells):
             for j, idx in enumerate(row):
                 if not isinstance(idx, int) or isinstance(idx, bool):
                     raise ValueError(f"cell ({i}, {j}) is not an integer index")
@@ -79,6 +114,9 @@ class SymbolGrid:
                     raise ValueError(
                         f"cell ({i}, {j}) index {idx} outside 0..{order - 1}"
                     )
+        fields = self.__dict__
+        fields["role"] = role
+        fields["cells"] = cells
 
     @property
     def order(self) -> int:
@@ -88,15 +126,14 @@ class SymbolGrid:
         return SymbolId(self.role, self.cells[i][j])
 
 
-@dataclass(frozen=True)
-class SuperposedGrid:
+class SuperposedGrid(_Record):
     """A grid of (latin index, greek index) pairs, one pair per cell."""
 
     cells: tuple[tuple[tuple[int, int], ...], ...]
 
-    def __post_init__(self) -> None:
-        order = _check_square(self.cells, "superposed grid")
-        for i, row in enumerate(self.cells):
+    def __init__(self, cells: tuple[tuple[tuple[int, int], ...], ...]) -> None:
+        order = _check_square(cells, "superposed grid")
+        for i, row in enumerate(cells):
             for j, pair in enumerate(row):
                 if len(pair) != 2:
                     raise ValueError(f"cell ({i}, {j}) must hold a pair")
@@ -107,6 +144,7 @@ class SuperposedGrid:
                         raise ValueError(
                             f"cell ({i}, {j}) index {idx} outside 0..{order - 1}"
                         )
+        self.__dict__["cells"] = cells
 
     @property
     def order(self) -> int:
@@ -125,8 +163,7 @@ class SuperposedGrid:
         )
 
 
-@dataclass(frozen=True)
-class ValueAssignment:
+class ValueAssignment(_Record):
     """Values given to each letter of both alphabets, in letter order.
 
     latin_values must be a permutation of {0, x, 2x, ..., (x-1)x} and
@@ -137,33 +174,37 @@ class ValueAssignment:
     latin_values: tuple[int, ...]
     greek_values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        x = len(self.latin_values)
-        if len(self.greek_values) != x:
+    def __init__(
+        self, latin_values: tuple[int, ...], greek_values: tuple[int, ...]
+    ) -> None:
+        x = len(latin_values)
+        if len(greek_values) != x:
             raise ValueError(
                 "latin and greek value lists must have the same length, got "
-                f"{x} and {len(self.greek_values)}"
+                f"{x} and {len(greek_values)}"
             )
         if x == 0:
             raise ValueError("value assignment must cover at least one letter")
-        if sorted(self.latin_values) != list(range(0, x * x, x)):
+        if sorted(latin_values) != list(range(0, x * x, x)):
             raise ValueError(
                 f"latin values must be a permutation of multiples of {x} "
-                f"(0..{(x - 1) * x}), got {list(self.latin_values)}"
+                f"(0..{(x - 1) * x}), got {list(latin_values)}"
             )
-        if sorted(self.greek_values) != list(range(1, x + 1)):
+        if sorted(greek_values) != list(range(1, x + 1)):
             raise ValueError(
                 f"greek values must be a permutation of 1..{x}, "
-                f"got {list(self.greek_values)}"
+                f"got {list(greek_values)}"
             )
+        fields = self.__dict__
+        fields["latin_values"] = latin_values
+        fields["greek_values"] = greek_values
 
     @property
     def order(self) -> int:
         return len(self.latin_values)
 
 
-@dataclass(frozen=True)
-class Square:
+class Square(_Record):
     """A numeric square grid.
 
     Cells are plain integers with no range restriction so that malformed
@@ -172,12 +213,13 @@ class Square:
 
     cells: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        _check_square(self.cells, "square")
-        for i, row in enumerate(self.cells):
+    def __init__(self, cells: tuple[tuple[int, ...], ...]) -> None:
+        _check_square(cells, "square")
+        for i, row in enumerate(cells):
             for j, value in enumerate(row):
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise ValueError(f"cell ({i}, {j}) is not an integer")
+        self.__dict__["cells"] = cells
 
     @property
     def order(self) -> int:

@@ -9,14 +9,21 @@ diagonal.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .model import Role, Square, SuperposedGrid, SymbolGrid, SymbolId, magic_constant
+from .model import (
+    Role,
+    Square,
+    SuperposedGrid,
+    SymbolGrid,
+    SymbolId,
+    _Record,
+    magic_constant,
+)
 
 
 class LineKind(Enum):
@@ -26,12 +33,16 @@ class LineKind(Enum):
     ANTI_DIAGONAL = "anti diagonal"
 
 
-@dataclass(frozen=True)
-class LineId:
+class LineId(_Record):
     """One of the 2x+2 lines of an order-x square."""
 
     kind: LineKind
-    index: int = 0
+    index: int
+
+    def __init__(self, kind: LineKind, index: int = 0) -> None:
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["index"] = index
 
     def __str__(self) -> str:
         if self.kind in (LineKind.ROW, LineKind.COLUMN):
@@ -170,8 +181,7 @@ def line_sums(square: Square) -> dict[LineId, int]:
     }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     order: int
     expected_sum: int
     line_sums: dict[LineId, int]
@@ -179,6 +189,25 @@ class VerificationReport:
     duplicate_values: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
     violations: tuple[LineId, ...]
     verdict: Verdict
+
+    def __init__(
+        self,
+        order: int,
+        expected_sum: int,
+        line_sums: dict[LineId, int],
+        bijection_ok: bool,
+        duplicate_values: tuple[tuple[int, tuple[tuple[int, int], ...]], ...],
+        violations: tuple[LineId, ...],
+        verdict: Verdict,
+    ) -> None:
+        fields = self.__dict__
+        fields["order"] = order
+        fields["expected_sum"] = expected_sum
+        fields["line_sums"] = line_sums
+        fields["bijection_ok"] = bijection_ok
+        fields["duplicate_values"] = duplicate_values
+        fields["violations"] = violations
+        fields["verdict"] = verdict
 
 
 def verify_magic(square: Square) -> VerificationReport:
@@ -234,12 +263,18 @@ def _is_magic(flat: tuple[int, ...], x: int) -> bool:
     return _geometry(x).is_magic(flat)
 
 
-@dataclass(frozen=True)
-class RepeatReport:
+class RepeatReport(_Record):
     """Lines of a component grid that repeat a symbol, with multiplicities."""
 
     ok: bool
     repeats: tuple[tuple[LineId, SymbolId, int], ...]
+
+    def __init__(
+        self, ok: bool, repeats: tuple[tuple[LineId, SymbolId, int], ...]
+    ) -> None:
+        fields = self.__dict__
+        fields["ok"] = ok
+        fields["repeats"] = repeats
 
 
 def verify_latin(grid: SymbolGrid, include_diagonals: bool = False) -> RepeatReport:
@@ -264,8 +299,7 @@ def verify_latin(grid: SymbolGrid, include_diagonals: bool = False) -> RepeatRep
     return RepeatReport(ok=not repeats, repeats=tuple(repeats))
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(_Record):
     """Whether every (latin, greek) pair occurs exactly once in a pair grid."""
 
     ok: bool
@@ -273,6 +307,19 @@ class OrthogonalityReport:
         tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...
     ]
     missing_pairs: tuple[tuple[int, int], ...]
+
+    def __init__(
+        self,
+        ok: bool,
+        duplicate_pairs: tuple[
+            tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...
+        ],
+        missing_pairs: tuple[tuple[int, int], ...],
+    ) -> None:
+        fields = self.__dict__
+        fields["ok"] = ok
+        fields["duplicate_pairs"] = duplicate_pairs
+        fields["missing_pairs"] = missing_pairs
 
 
 def verify_orthogonality(pairs: SuperposedGrid) -> OrthogonalityReport:

@@ -872,6 +872,21 @@ def test_cli_import_leaves_out_fractions_and_decimal():
     assert loaded.stdout == "[]\n"
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # pytest imports both itself, so only a fresh interpreter can tell;
+    # the baseline is what a bare interpreter loads in the same environment
+    def loaded(code: str) -> set[str]:
+        child = subprocess.run(
+            [sys.executable, "-c", f"{code}; import sys; print(*sys.modules)"],
+            capture_output=True, text=True, env=CHILD_ENV, check=True,
+        )
+        return set(child.stdout.split())
+
+    added = loaded("import latinmagic.cli") - loaded("pass")
+    assert "latinmagic.cli" in added
+    assert {"dataclasses", "inspect"} & added == set()
+
+
 def test_main_exits_with_run_code(capsys, monkeypatch):
     from latinmagic.cli import main
 

@@ -7,7 +7,6 @@ reader of stdout goes away.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -95,24 +94,9 @@ class SquareDocument(_Record):
 
     order: int
     cells: tuple[tuple[int, ...], ...]
-    family: str | None
-    latin_values: tuple[int, ...] | None
-    greek_values: tuple[int, ...] | None
-
-    def __init__(
-        self,
-        order: int,
-        cells: tuple[tuple[int, ...], ...],
-        family: str | None = None,
-        latin_values: tuple[int, ...] | None = None,
-        greek_values: tuple[int, ...] | None = None,
-    ) -> None:
-        fields = self.__dict__
-        fields["order"] = order
-        fields["cells"] = cells
-        fields["family"] = family
-        fields["latin_values"] = latin_values
-        fields["greek_values"] = greek_values
+    family: str | None = None
+    latin_values: tuple[int, ...] | None = None
+    greek_values: tuple[int, ...] | None = None
 
 
 def parse_square(text: str) -> SquareDocument:
@@ -158,6 +142,8 @@ def parse_square(text: str) -> SquareDocument:
 
 
 def _parse_structured(text: str) -> SquareDocument:
+    import json
+
     try:
         data = json.loads(text, parse_int=_json_integer)
     except json.JSONDecodeError as exc:
@@ -278,6 +264,8 @@ def _grid_text(cells) -> str:
 
 
 def _json_text(payload) -> str:
+    import json
+
     return json.dumps(payload, indent=2, ensure_ascii=False)
 
 

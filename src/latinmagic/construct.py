@@ -31,8 +31,6 @@ from .verify import (
     _flat,
     _geometry,
     _unflat,
-    all_lines,
-    line_positions,
     pair_name,
     verify_orthogonality,
 )
@@ -244,13 +242,14 @@ def diagonal_constraints(pairs: SuperposedGrid) -> tuple[LinearConstraint, ...]:
     halves when the system already implies each half separately.
     """
     x = pairs.order
+    flat = _flat(pairs.cells)
     raw: list[LinearConstraint] = []
     seen: set[tuple[int, ...]] = set()
-    for line in all_lines(x):
+    for line in _geometry(x).lines:
         latin_count = [0] * x
         greek_count = [0] * x
-        for i, j in line_positions(line, x):
-            l, g = pairs.cells[i][j]
+        for k in line:
+            l, g = flat[k]
             latin_count[l] += 1
             greek_count[g] += 1
         latin = tuple(c - 1 for c in latin_count)

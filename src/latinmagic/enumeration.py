@@ -36,9 +36,6 @@ class CanonicalSquare(_Record):
 
     square: Square
 
-    def __init__(self, square: Square) -> None:
-        self.__dict__["square"] = square
-
 
 def _canonical_flat(flat: tuple[int, ...], x: int) -> tuple[int, ...]:
     """The least of the eight images of row-major cells, as row-major cells.
@@ -74,19 +71,6 @@ class FamilyCensus(_Record):
     assignments_total: int
     squares_distinct: int
     squares_distinct_dihedral: int
-
-    def __init__(
-        self,
-        family_id: str,
-        assignments_total: int,
-        squares_distinct: int,
-        squares_distinct_dihedral: int,
-    ) -> None:
-        fields = self.__dict__
-        fields["family_id"] = family_id
-        fields["assignments_total"] = assignments_total
-        fields["squares_distinct"] = squares_distinct
-        fields["squares_distinct_dihedral"] = squares_distinct_dihedral
 
 
 def _family_cells(family_id: str, variant: str) -> Iterator[tuple[int, ...]]:
@@ -319,11 +303,6 @@ class SubsetReport(_Record):
 
     ok: bool
     missing: tuple[Square, ...]
-
-    def __init__(self, ok: bool, missing: tuple[Square, ...]) -> None:
-        fields = self.__dict__
-        fields["ok"] = ok
-        fields["missing"] = missing
 
 
 def subset_check(

@@ -6,9 +6,11 @@ the 1..x part with Greek letters, so an x-by-x grid of letter pairs plus a
 value for each letter determines a numeric square.  The types here are
 immutable values; all operations are pure.
 
-Each value type is a _Record subclass: a hand-written __init__ runs the
-type's checks and sets its fields once, and the base gives equality,
-hashing and repr by those fields and refuses any assignment or deletion
+Each value type is a _Record subclass that declares its fields once, as
+annotations.  A type that checks its values writes its own __init__,
+which runs the checks and sets the fields; any other type gets an
+__init__ generated from its annotations.  The base gives equality,
+hashing and repr by the fields and refuses any assignment or deletion
 afterwards.
 """
 from __future__ import annotations
@@ -23,11 +25,31 @@ GREEK_LETTERS = "αβγδεζ"
 class _Record:
     """An immutable value compared, hashed and shown by its fields.
 
-    A subclass's __init__ runs its checks, then writes each field, in
-    order, into self.__dict__, which holds nothing else; any later
-    assignment or deletion raises AttributeError.  Records are equal only
-    to records of the same class with equal fields.
+    A subclass's fields are its own annotations, in order.  Its __init__
+    writes each field, in that order, into self.__dict__, which holds
+    nothing else; any later assignment or deletion raises AttributeError.
+    Records are equal only to records of the same class with equal fields.
+
+    A subclass that checks its values writes its own __init__, which runs
+    the checks before it writes the fields.  Any other subclass gets one
+    generated from its annotations, compiled once per class: one parameter
+    per field, with a class attribute of the same name as that field's
+    default.
     """
+
+    def __init_subclass__(cls) -> None:
+        if "__init__" in cls.__dict__:
+            return
+        names = cls.__dict__.get("__annotations__", {})
+        # the defaults are the globals the compiled def reads them from
+        namespace = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+        params = "".join(f", {n}={n}" if n in namespace else f", {n}" for n in names)
+        body = "".join(f"\n    fields[{n!r}] = {n}" for n in names)
+        exec(f"def __init__(self{params}):\n    fields = self.__dict__{body}", namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__module__ = cls.__module__
+        cls.__init__ = init
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -93,6 +115,14 @@ def _check_square(cells: tuple, what: str) -> int:
     return order
 
 
+def _check_index(idx, i: int, j: int, order: int) -> None:
+    """Refuse a letter index at cell (i, j) that is not an int in 0..order-1."""
+    if not isinstance(idx, int) or isinstance(idx, bool):
+        raise ValueError(f"cell ({i}, {j}) is not an integer index")
+    if not 0 <= idx < order:
+        raise ValueError(f"cell ({i}, {j}) index {idx} outside 0..{order - 1}")
+
+
 class SymbolGrid(_Record):
     """A square grid of symbol indices drawn from a single alphabet.
 
@@ -108,12 +138,7 @@ class SymbolGrid(_Record):
         order = _check_square(cells, "symbol grid")
         for i, row in enumerate(cells):
             for j, idx in enumerate(row):
-                if not isinstance(idx, int) or isinstance(idx, bool):
-                    raise ValueError(f"cell ({i}, {j}) is not an integer index")
-                if not 0 <= idx < order:
-                    raise ValueError(
-                        f"cell ({i}, {j}) index {idx} outside 0..{order - 1}"
-                    )
+                _check_index(idx, i, j, order)
         fields = self.__dict__
         fields["role"] = role
         fields["cells"] = cells
@@ -138,12 +163,7 @@ class SuperposedGrid(_Record):
                 if len(pair) != 2:
                     raise ValueError(f"cell ({i}, {j}) must hold a pair")
                 for idx in pair:
-                    if not isinstance(idx, int) or isinstance(idx, bool):
-                        raise ValueError(f"cell ({i}, {j}) is not an integer index")
-                    if not 0 <= idx < order:
-                        raise ValueError(
-                            f"cell ({i}, {j}) index {idx} outside 0..{order - 1}"
-                        )
+                    _check_index(idx, i, j, order)
         self.__dict__["cells"] = cells
 
     @property

@@ -37,12 +37,7 @@ class LineId(_Record):
     """One of the 2x+2 lines of an order-x square."""
 
     kind: LineKind
-    index: int
-
-    def __init__(self, kind: LineKind, index: int = 0) -> None:
-        fields = self.__dict__
-        fields["kind"] = kind
-        fields["index"] = index
+    index: int = 0
 
     def __str__(self) -> str:
         if self.kind in (LineKind.ROW, LineKind.COLUMN):
@@ -190,25 +185,6 @@ class VerificationReport(_Record):
     violations: tuple[LineId, ...]
     verdict: Verdict
 
-    def __init__(
-        self,
-        order: int,
-        expected_sum: int,
-        line_sums: dict[LineId, int],
-        bijection_ok: bool,
-        duplicate_values: tuple[tuple[int, tuple[tuple[int, int], ...]], ...],
-        violations: tuple[LineId, ...],
-        verdict: Verdict,
-    ) -> None:
-        fields = self.__dict__
-        fields["order"] = order
-        fields["expected_sum"] = expected_sum
-        fields["line_sums"] = line_sums
-        fields["bijection_ok"] = bijection_ok
-        fields["duplicate_values"] = duplicate_values
-        fields["violations"] = violations
-        fields["verdict"] = verdict
-
 
 def verify_magic(square: Square) -> VerificationReport:
     """Audit an arbitrary integer square against the order-x magic contract.
@@ -269,13 +245,6 @@ class RepeatReport(_Record):
     ok: bool
     repeats: tuple[tuple[LineId, SymbolId, int], ...]
 
-    def __init__(
-        self, ok: bool, repeats: tuple[tuple[LineId, SymbolId, int], ...]
-    ) -> None:
-        fields = self.__dict__
-        fields["ok"] = ok
-        fields["repeats"] = repeats
-
 
 def verify_latin(grid: SymbolGrid, include_diagonals: bool = False) -> RepeatReport:
     """Report symbols appearing two or more times in any row or column.
@@ -283,16 +252,13 @@ def verify_latin(grid: SymbolGrid, include_diagonals: bool = False) -> RepeatRep
     With include_diagonals=True the two diagonals are audited as well; the
     construction rules deliberately allow repeats there, so the caller picks.
     """
-    x = grid.order
-    lines = [
-        line
-        for line in all_lines(x)
-        if include_diagonals
-        or line.kind in (LineKind.ROW, LineKind.COLUMN)
-    ]
+    geometry = _geometry(grid.order)
+    flat = _flat(grid.cells)
+    # rows and columns come first, the two diagonals last
+    audited = len(geometry.lines) if include_diagonals else 2 * grid.order
     repeats: list[tuple[LineId, SymbolId, int]] = []
-    for line in lines:
-        counts = Counter(grid.cells[i][j] for (i, j) in line_positions(line, x))
+    for line, indices in zip(geometry.line_ids[:audited], geometry.lines):
+        counts = Counter(flat[k] for k in indices)
         for index in sorted(counts):
             if counts[index] >= 2:
                 repeats.append((line, SymbolId(grid.role, index), counts[index]))
@@ -307,19 +273,6 @@ class OrthogonalityReport(_Record):
         tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...
     ]
     missing_pairs: tuple[tuple[int, int], ...]
-
-    def __init__(
-        self,
-        ok: bool,
-        duplicate_pairs: tuple[
-            tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...
-        ],
-        missing_pairs: tuple[tuple[int, int], ...],
-    ) -> None:
-        fields = self.__dict__
-        fields["ok"] = ok
-        fields["duplicate_pairs"] = duplicate_pairs
-        fields["missing_pairs"] = missing_pairs
 
 
 def verify_orthogonality(pairs: SuperposedGrid) -> OrthogonalityReport:

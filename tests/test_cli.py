@@ -887,6 +887,20 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert {"dataclasses", "inspect"} & added == set()
 
 
+def test_cli_import_loads_no_json():
+    # text-format calls never need json; structured input and output import it
+    loaded = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys; before = set(sys.modules); import latinmagic.cli; "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m == 'json' or m.startswith('json.')))",
+        ],
+        capture_output=True, text=True, env=CHILD_ENV, check=True,
+    )
+    assert loaded.stdout == "[]\n"
+
+
 def test_main_exits_with_run_code(capsys, monkeypatch):
     from latinmagic.cli import main
 

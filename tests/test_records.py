@@ -25,6 +25,7 @@ from latinmagic import (
     verify_magic,
 )
 from latinmagic.cli import SquareDocument
+from latinmagic.model import _Record
 
 LO_SHU = ((2, 9, 4), (7, 5, 3), (6, 1, 8))
 
@@ -279,3 +280,38 @@ def test_validation_messages(make, message):
     with pytest.raises(ValueError) as info:
         make()
     assert str(info.value) == message
+
+
+def test_generated_initializer():
+    class Point(_Record):
+        x: int
+        y: int
+        label: str = "origin"
+
+    assert list(inspect.signature(Point).parameters) == ["x", "y", "label"]
+    assert [p.default for p in inspect.signature(Point).parameters.values()] == [
+        inspect.Parameter.empty, inspect.Parameter.empty, "origin",
+    ]
+    assert Point(1, 2) == Point(x=1, y=2, label="origin") == Point(1, 2, "origin")
+    assert list(vars(Point(1, 2))) == ["x", "y", "label"]
+    assert Point.__init__.__qualname__.endswith("Point.__init__")
+    for make in (lambda: Point(1), lambda: Point(1, 2, z=3), lambda: Point(1, 2, "a", 4)):
+        with pytest.raises(TypeError, match=r"Point\.__init__\(\)"):
+            make()
+
+
+def test_own_initializer_is_kept():
+    def checked_init(self, value: int) -> None:
+        if value < 0:
+            raise ValueError("negative")
+        self.__dict__["value"] = value
+
+    class Checked(_Record):
+        value: int
+        __init__ = checked_init
+
+    assert Checked.__init__ is checked_init
+    assert checked_init.__qualname__.endswith("checked_init")
+    assert Checked(1) == Checked(value=1)
+    with pytest.raises(ValueError, match="negative"):
+        Checked(-1)

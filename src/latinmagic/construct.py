@@ -244,7 +244,6 @@ def diagonal_constraints(pairs: SuperposedGrid) -> tuple[LinearConstraint, ...]:
     x = pairs.order
     flat = _flat(pairs.cells)
     raw: list[LinearConstraint] = []
-    seen: set[tuple[int, ...]] = set()
     for line in _geometry(x).lines:
         latin_count = [0] * x
         greek_count = [0] * x
@@ -256,11 +255,7 @@ def diagonal_constraints(pairs: SuperposedGrid) -> tuple[LinearConstraint, ...]:
         greek = tuple(c - 1 for c in greek_count)
         if not any(latin) and not any(greek):
             continue
-        constraint = LinearConstraint(latin, greek)
-        key = constraint.canonical_key()
-        if key not in seen:
-            seen.add(key)
-            raw.append(constraint)
+        raw.append(LinearConstraint(latin, greek))
 
     basis, pivots = _rref(c.vector() for c in raw)
     out: list[LinearConstraint] = []

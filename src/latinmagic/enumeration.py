@@ -309,10 +309,7 @@ def subset_check(
     family_id: str, oracle: set[Square], variant: str = "c"
 ) -> SubsetReport:
     """Verify every square a family yields is present in the oracle set."""
-    order = None
-    for square in oracle:
-        order = square.order
-        break
+    order = next(iter(oracle)).order if oracle else None
     missing: list[Square] = []
     seen_missing: set[Cells] = set()
     for square in enumerate_family(family_id, variant=variant):

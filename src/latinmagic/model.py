@@ -147,9 +147,6 @@ class SymbolGrid(_Record):
     def order(self) -> int:
         return len(self.cells)
 
-    def symbol(self, i: int, j: int) -> SymbolId:
-        return SymbolId(self.role, self.cells[i][j])
-
 
 class SuperposedGrid(_Record):
     """A grid of (latin index, greek index) pairs, one pair per cell."""

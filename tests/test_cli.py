@@ -366,6 +366,13 @@ def test_gen_argument_errors(capsys):
     assert cli(capsys, "gen", "--family", "e3.reflect", "--variant", "d")[0] == 2
 
 
+def test_gen_reports_a_solver_with_no_assignment(capsys, monkeypatch):
+    monkeypatch.setattr(cli_module, "solve_assignments", lambda constraints, x: iter(()))
+    code, out, err = cli(capsys, "gen", "--family", "e3.reflect")
+    assert (code, out) == (2, "")
+    assert err == "error: family e3.reflect admits no satisfying assignment\n"
+
+
 # --- verify ------------------------------------------------------------------
 
 def test_verify_golden_file(capsys):
@@ -421,6 +428,22 @@ def test_verify_rejects_deeply_nested_document(capsys, monkeypatch):
     )
     assert (code, out) == (2, "")
     assert err == "error: invalid structured document: nested too deeply\n"
+
+
+def test_verify_rejects_a_cells_row_that_is_not_a_list(capsys, monkeypatch):
+    code, out, err = cli(
+        capsys, "verify", stdin='{"cells": [1, 2]}', monkeypatch=monkeypatch
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: 'cells' row 0 is not a list\n"
+
+
+def test_verify_text_report_lists_duplicate_values(capsys, monkeypatch):
+    code, out, _ = cli(
+        capsys, "verify", stdin="1 1 3\n4 5 6\n7 8 9\n", monkeypatch=monkeypatch
+    )
+    assert code == 1
+    assert out.endswith("duplicate values:\n  1 at (0, 0), (0, 1)\n")
 
 
 LO_SHU_DOCUMENT = {
@@ -778,6 +801,22 @@ def test_exit_code_matrix(capsys):
             for command in EXIT_CODE_COMMANDS
         )
         assert codes == expected, family_id
+
+
+@pytest.mark.parametrize(
+    "family_id, variants", [("e4.diag", "c, d"), ("e3.reflect", "c")]
+)
+@pytest.mark.parametrize(
+    "command", [("gen",), ("constraints",), ("enumerate",), ("enumerate", "--count-only")]
+)
+def test_unknown_variant_fails_like_a_missing_one(capsys, command, family_id, variants):
+    code, out, err = cli(
+        capsys, command[0], "--family", family_id, *command[1:], "--variant", "zz"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: variant 'zz' does not apply to {family_id} (variants: {variants})\n"
+    )
 
 
 def test_paired_family_fails_before_argument_pairing(capsys):

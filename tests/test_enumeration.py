@@ -353,6 +353,15 @@ def test_frenicle_forms_are_pairwise_inequivalent_normal_forms(x):
     assert len(forms) == {1: 1, 2: 0, 3: 1, 4: 880}[x]
 
 
+def test_oracle_drops_a_constant_forced_cell_outside_the_values(monkeypatch):
+    # at order 2 every cell is forced; a last cell forced to 5 > 2*2 ends the
+    # search before the audit, which would refuse the non-magic (1, 2, 3, 5)
+    monkeypatch.setattr(
+        enumeration, "_forced_cells", lambda x: [(1, 1, ()), (1, 2, ()), (1, 3, ()), (1, 5, ())]
+    )
+    assert _frenicle_flats(2) == []
+
+
 def test_oracle_flats_are_oracle_search_cells(oracle3, oracle4):
     for x, squares in ((1, oracle_search(1)), (2, oracle_search(2)), (3, oracle3), (4, oracle4)):
         assert _oracle_flats(x) == {_flat(s.cells) for s in squares}

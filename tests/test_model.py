@@ -68,6 +68,11 @@ def test_compose_rejects_out_of_range_parts():
         compose(0, 4, 3)
 
 
+def test_compose_rejects_nonpositive_order():
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        compose(0, 1, 0)
+
+
 def test_round_trip_exhaustive_through_order_nine():
     for x in range(1, 10):
         for k in range(1, x * x + 1):

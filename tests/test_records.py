@@ -193,6 +193,10 @@ def test_str_of_a_value_assignment_is_its_repr():
     assert str(LineId(LineKind.ANTI_DIAGONAL)) == "anti diagonal"
 
 
+def test_symbol_beyond_its_alphabet_is_named_by_role_and_index():
+    assert SymbolId(Role.LATIN, 6).letter == "latin6"
+
+
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
 def test_records_refuse_assignment_and_deletion(cls):
     record = sample(cls)

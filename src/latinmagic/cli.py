@@ -37,6 +37,10 @@ class SquareParseError(ValueError):
     """Input text could not be read as a square."""
 
 
+# the values of --format; every format but text is structured
+_FORMATS = ("text", "structured")
+
+
 # CPython's default int_max_str_digits: longer integers are refused on
 # every input path, whatever the interpreter's own setting
 _MAX_DIGITS = 4300
@@ -47,8 +51,8 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _ascii_int(token: str) -> int:
-    """An ASCII decimal integer with an optional sign, or ValueError."""
-    if not _INTEGER.fullmatch(token):
+    """An ASCII decimal integer of at most _MAX_DIGITS digits, or ValueError."""
+    if not _INTEGER.fullmatch(token) or _too_long(token):
         raise ValueError(token)
     return int(token)
 
@@ -152,8 +156,6 @@ def _parse_structured(text: str) -> SquareDocument:
         raise SquareParseError(
             "invalid structured document: nested too deeply"
         ) from None
-    if not isinstance(data, dict):
-        raise SquareParseError("structured document must be an object")
     if "cells" not in data:
         raise SquareParseError("structured document is missing 'cells'")
     raw_cells = data["cells"]
@@ -270,8 +272,8 @@ def _json_text(payload) -> str:
 
 def render(obj, fmt: str = "text") -> str:
     """Serialize a SquareDocument, VerificationReport, or FamilyCensus."""
-    if fmt not in ("text", "structured"):
-        raise ValueError(f"format must be 'text' or 'structured', got {fmt!r}")
+    if fmt not in _FORMATS:
+        raise ValueError(f"format must be {' or '.join(map(repr, _FORMATS))}, got {fmt!r}")
     if isinstance(obj, SquareDocument):
         return _render_document(obj, fmt)
     if isinstance(obj, VerificationReport):
@@ -295,7 +297,7 @@ def _render_document(doc: SquareDocument, fmt: str) -> str:
 
 
 def _render_report(report: VerificationReport, fmt: str) -> str:
-    if fmt == "structured":
+    if fmt != "text":
         payload = {
             "order": report.order,
             "expected_sum": report.expected_sum,
@@ -330,7 +332,7 @@ def _render_report(report: VerificationReport, fmt: str) -> str:
 
 
 def _render_census(result: FamilyCensus, fmt: str) -> str:
-    if fmt == "structured":
+    if fmt != "text":
         return _json_text(
             {
                 "family": result.family_id,
@@ -354,6 +356,8 @@ def _read_input(path: str) -> str:
     if path != "-":
         with open(path, "rb") as handle:
             data = handle.read()
+    elif sys.stdin is None:
+        raise OSError("stdin is closed")
     elif hasattr(sys.stdin, "buffer"):
         data = sys.stdin.buffer.read()
     else:  # a text stream with no bytes under it is already decoded
@@ -387,11 +391,11 @@ def _print_squares(flats, fmt: str, header: dict) -> None:
     flats = iter(flats)
     first = next(flats, None)
     if first is None:
-        if fmt == "structured":
+        if fmt != "text":
             print(_json_text({**header, "count": 0, "squares": []}))
         return
     x = isqrt(len(first))
-    if fmt == "structured":
+    if fmt != "text":
         listed = [first, *flats]
         row = "[\n" + ",\n".join(["        %d"] * x) + "\n      ]"
         square = "[\n" + ",\n".join(["      " + row] * x) + "\n    ]"
@@ -475,7 +479,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_constraints(args) -> int:
     constraints = diagonal_constraints(magic_figure(args.family, args.variant))
-    if args.format == "structured":
+    if args.format != "text":
         payload = {
             "family": args.family,
             "constraints": [
@@ -488,12 +492,8 @@ def _cmd_constraints(args) -> int:
             ],
         }
         print(_json_text(payload))
-        return 0
-    if not constraints:
-        print("(none)")
-        return 0
-    for constraint in constraints:
-        print(constraint)
+    else:
+        print("\n".join(map(str, constraints)) or "(none)")
     return 0
 
 
@@ -504,7 +504,7 @@ def _cmd_oracle(args) -> int:
         raise ValueError(f"--order expects an integer, got {_shorten(repr(args.order))}") from None
     flats = _oracle_flats(order)
     if args.count_only:
-        if args.format == "structured":
+        if args.format != "text":
             print(_json_text({"order": order, "count": len(flats)}))
         else:
             print(f"order: {order}")
@@ -522,53 +522,42 @@ def _cmd_families(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "verify": _cmd_verify,
-    "enumerate": _cmd_enumerate,
-    "constraints": _cmd_constraints,
-    "oracle": _cmd_oracle,
-    "families": _cmd_families,
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latinmagic",
         description="Build, audit, and enumerate magic squares made from "
         "superposed Latin and Greek letter grids.",
     )
+    formats = argparse.ArgumentParser(add_help=False)
+    formats.add_argument("--format", choices=_FORMATS, default="text")
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", required=True, help="family id, see 'families'")
+    family.add_argument("--variant", default="c")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="build one square from a family")
-    p.add_argument("--family", required=True, help="family id, see 'families'")
+    p = sub.add_parser("gen", parents=[family, formats], help="build one square from a family")
     p.add_argument("--latin", help="comma-separated Latin letter values in letter order")
     p.add_argument("--greek", help="comma-separated Greek letter values in letter order")
-    p.add_argument("--variant", default="c")
-    p.add_argument("--format", choices=("text", "structured"), default="text")
+    p.set_defaults(run=_cmd_gen)
 
-    p = sub.add_parser("verify", help="audit a square from a file or '-' (stdin)")
+    p = sub.add_parser("verify", parents=[formats], help="audit a square from a file or '-' (stdin)")
     p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--format", choices=("text", "structured"), default="text")
+    p.set_defaults(run=_cmd_verify)
 
-    p = sub.add_parser("enumerate", help="list every square a family produces")
-    p.add_argument("--family", required=True)
+    p = sub.add_parser("enumerate", parents=[family, formats], help="list every square a family produces")
     p.add_argument("--dedup", choices=("none", "dihedral"), default="none")
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--variant", default="c")
-    p.add_argument("--format", choices=("text", "structured"), default="text")
+    p.set_defaults(run=_cmd_enumerate)
 
-    p = sub.add_parser("constraints", help="show a family's letter-value conditions")
-    p.add_argument("--family", required=True)
-    p.add_argument("--variant", default="c")
-    p.add_argument("--format", choices=("text", "structured"), default="text")
+    p = sub.add_parser("constraints", parents=[family, formats], help="show a family's letter-value conditions")
+    p.set_defaults(run=_cmd_constraints)
 
-    p = sub.add_parser("oracle", help="exhaustively list all magic squares of an order")
+    p = sub.add_parser("oracle", parents=[formats], help="exhaustively list all magic squares of an order")
     p.add_argument("--order", required=True)
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--format", choices=("text", "structured"), default="text")
+    p.set_defaults(run=_cmd_oracle)
 
-    sub.add_parser("families", help="list the known families")
+    sub.add_parser("families", help="list the known families").set_defaults(run=_cmd_families)
     return parser
 
 
@@ -580,7 +569,9 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code = _COMMANDS[args.command](args)
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
+        code = args.run(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

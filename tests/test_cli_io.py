@@ -1,0 +1,97 @@
+"""Command line edges: closed standard streams, capped integer flags, formats."""
+import io
+import os
+import subprocess
+import sys
+
+import pytest
+
+from latinmagic.cli import SquareDocument, render, run
+from test_cli import CHILD_ENV, GOLDEN_E3
+
+NINES = "9" * 5000
+
+
+def latinmagic_child(*argv, env=CHILD_ENV, close=None):
+    """Run the CLI in a fresh interpreter, with file descriptor `close` shut."""
+    return subprocess.run(
+        [sys.executable, "-m", "latinmagic", *argv],
+        stdout=None if close == 1 else subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        preexec_fn=None if close is None else (lambda: os.close(close)),
+        timeout=60,
+    )
+
+
+def test_verify_with_stdin_closed_exits_two():
+    child = latinmagic_child("verify", close=0)
+    assert child.returncode == 2
+    assert (child.stdout, child.stderr) == (b"", b"error: stdin is closed\n")
+
+
+def test_verify_of_a_file_needs_no_stdin():
+    child = latinmagic_child("verify", GOLDEN_E3, close=0)
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert b"verdict: Magic\n" in child.stdout
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["verify", "-"]])
+def test_verify_reads_a_text_only_stdin(capsys, monkeypatch, argv):
+    with open(GOLDEN_E3, encoding="utf-8") as handle:
+        monkeypatch.setattr("sys.stdin", io.StringIO(handle.read()))
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert ("verdict: Magic\n" in out, err) == (True, "")
+
+
+def test_families_with_stdout_closed_exits_two():
+    child = latinmagic_child("families", close=1)
+    assert child.returncode == 2
+    assert child.stderr == b"error: stdout is closed\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("oracle", "--order", NINES), "--order"),
+        (("gen", "--family", "e3.reflect", "--latin", f"{NINES},0,3", "--greek", "1,3,2"),
+         "--latin"),
+        (("gen", "--family", "e3.reflect", "--latin", "0,6,3", "--greek", f"1,{NINES},2"),
+         "--greek"),
+    ],
+)
+def test_integer_flags_are_capped_whatever_the_interpreter_allows(argv, flag):
+    child = latinmagic_child(*argv, env={**CHILD_ENV, "PYTHONINTMAXSTRDIGITS": "0"})
+    assert (child.returncode, child.stdout) == (2, b"")
+    assert child.stderr.startswith(f"error: {flag} expects ".encode())
+    assert child.stderr.count(b"\n") == 1
+    assert len(child.stderr) < 200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--family", "e3.reflect"),
+        ("enumerate", "--family", "e3.reflect"),
+        ("constraints", "--family", "e3.reflect"),
+        ("oracle", "--order", "3"),
+    ],
+)
+def test_unknown_format_is_a_usage_error(capsys, argv):
+    assert run([*argv, "--format", "yaml"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --format: invalid choice: 'yaml'" in err
+
+
+@pytest.mark.parametrize("command", ["gen", "enumerate", "constraints"])
+def test_family_flag_help_is_shown_by_every_family_command(capsys, command):
+    assert run([command, "--help"]) == 0
+    assert "family id, see 'families'" in capsys.readouterr().out
+
+
+def test_render_names_both_formats():
+    with pytest.raises(ValueError) as info:
+        render(SquareDocument(order=1, cells=((1,),)), "yaml")
+    assert str(info.value) == "format must be 'text' or 'structured', got 'yaml'"

@@ -1,0 +1,112 @@
+"""Record the CLI transcript that tests/test_cli_transcript.py replays.
+
+    PYTHONPATH=src python3 scripts/cli_transcript.py
+
+Runs each call below through `latinmagic.cli.run` in-process, from the repo
+root, with stdin an `io.StringIO` of the named file (or empty), and writes
+one JSON line per call to tests/cli_transcript.jsonl: argv, stdin, the exit
+code and the sha256 of stdout and of stderr.  Argparse words its usage
+errors differently across Python versions, so for those the line keeps
+only the first word of stderr, "usage:".  A change that alters an output on
+purpose regenerates the file and lists each changed call.
+
+Left out for time: e5.diag's dihedral listing, the full order-5 listings
+and the order-4 oracle.  tests/test_cli.py pins the first and the last by
+sha256.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+from latinmagic.cli import run
+from latinmagic.construct import FAMILIES
+
+ROOT = Path(__file__).resolve().parent.parent
+TRANSCRIPT = ROOT / "tests" / "cli_transcript.jsonl"
+DATA = "tests/data"
+FAMILY_IDS = (*FAMILIES, "e9.unknown")
+FORMATS = ((), ("--format", "structured"))
+USAGE = "usage:"
+
+
+def calls() -> list[tuple[list[str], str | None]]:
+    """(argv, stdin file or None) of every recorded call.
+
+    The text-format gen, constraints and enumerate --count-only calls are
+    the exit-code matrix of tests/test_cli.py.
+    """
+    listed = []
+    for family in FAMILY_IDS:
+        for variant in ((), ("--variant", "d")):
+            for fmt in FORMATS:
+                for command in (
+                    ("gen",), ("constraints",), ("enumerate", "--count-only"),
+                    ("enumerate", "--dedup", "dihedral"),
+                ):
+                    if command[-1] == "dihedral" and (family, variant) == ("e5.diag", ()):
+                        continue
+                    listed.append(([command[0], "--family", family, *command[1:], *variant, *fmt], None))
+    for name in sorted(os.listdir(ROOT / DATA)):
+        for fmt in FORMATS:
+            listed.append((["verify", f"{DATA}/{name}", *fmt], None))
+            listed.append((["verify", "-", *fmt], f"{DATA}/{name}"))
+    for order in ("0", "1", "2", "3", "-1", "x"):
+        for count in ((), ("--count-only",)):
+            for fmt in FORMATS:
+                listed.append((["oracle", "--order", order, *count, *fmt], None))
+    listed.append((["families"], None))
+    usage_errors = (
+        [],
+        ["gen"],
+        ["bogus"],
+        ["oracle"],
+        ["verify", f"{DATA}/golden_e3_reflect.txt", "--format", "yaml"],
+        ["enumerate", "--family", "e4.diag", "--dedup", "bogus"],
+        ["oracle", "--order", "3", "--bogus"],
+    )
+    return listed + [(argv, None) for argv in usage_errors]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def record(argv: list[str], stdin: str | None) -> dict:
+    """Run one call in-process from the repo root and describe its outcome."""
+    text = "" if stdin is None else (ROOT / stdin).read_text(encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    saved_stdin, saved_cwd = sys.stdin, os.getcwd()
+    sys.stdin = io.StringIO(text)
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(list(argv))
+    finally:
+        sys.stdin = saved_stdin
+        os.chdir(saved_cwd)
+    err_text = err.getvalue()
+    usage = code == 2 and err_text.startswith(USAGE)
+    return {
+        "argv": argv,
+        "stdin": stdin,
+        "code": code,
+        "stdout": _sha256(out.getvalue()),
+        "stderr": USAGE if usage else _sha256(err_text),
+    }
+
+
+def main() -> int:
+    lines = [json.dumps(record(argv, stdin), ensure_ascii=False) for argv, stdin in calls()]
+    TRANSCRIPT.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"{len(lines)} calls written to {TRANSCRIPT.relative_to(ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

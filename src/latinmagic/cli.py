@@ -29,7 +29,7 @@ from .enumeration import (
     _oracle_flats,
     census,
 )
-from .model import Square, ValueAssignment, _Record
+from .model import Square, ValueAssignment, _Record, _shorten
 from .verify import VerificationReport, Verdict, verify_magic
 
 
@@ -55,10 +55,6 @@ def _ascii_int(token: str) -> int:
     if not _INTEGER.fullmatch(token) or _too_long(token):
         raise ValueError(token)
     return int(token)
-
-
-def _shorten(token: str) -> str:
-    return token if len(token) <= 40 else f"{token[:16]}...{token[-16:]}"
 
 
 def _too_long(literal: str) -> bool:

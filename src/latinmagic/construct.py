@@ -143,7 +143,8 @@ class LinearConstraint(_Record):
     latin: tuple[int, ...]
     greek: tuple[int, ...]
 
-    def __init__(self, latin: tuple[int, ...], greek: tuple[int, ...]) -> None:
+    def _post_init(self) -> None:
+        latin, greek = self.latin, self.greek
         for side, coeffs in (("latin", latin), ("greek", greek)):
             for k, c in enumerate(coeffs):
                 if not isinstance(c, int) or isinstance(c, bool):
@@ -158,9 +159,6 @@ class LinearConstraint(_Record):
             raise ValueError("coefficients must sum to zero within each alphabet")
         if not any(latin) and not any(greek):
             raise ValueError("constraint must have a nonzero coefficient")
-        fields = self.__dict__
-        fields["latin"] = latin
-        fields["greek"] = greek
 
     @property
     def order(self) -> int:
@@ -428,20 +426,11 @@ class Family(_Record):
     family_id: str
     order: int
     summary: str
-    figures: dict[str, SuperposedGrid]
+    figures: dict[str, SuperposedGrid] = None
 
-    def __init__(
-        self,
-        family_id: str,
-        order: int,
-        summary: str,
-        figures: dict[str, SuperposedGrid] | None = None,
-    ) -> None:
-        fields = self.__dict__
-        fields["family_id"] = family_id
-        fields["order"] = order
-        fields["summary"] = summary
-        fields["figures"] = {} if figures is None else figures
+    def _post_init(self) -> None:
+        if self.figures is None:
+            self.__dict__["figures"] = {}
 
     def __hash__(self) -> int:
         return hash((self.family_id, self.order, self.summary))

@@ -11,7 +11,7 @@ from operator import add
 from typing import Iterator
 
 from .construct import diagonal_constraints, magic_figure, solve_assignments
-from .model import Square, _Record, _rref, magic_constant
+from .model import Square, _Record, _rref, _shorten, magic_constant
 from .verify import _flat, _geometry, _is_magic, _picker, _unflat
 
 ORACLE_MAX_ORDER = 4
@@ -271,9 +271,9 @@ def _frenicle_flats(x: int) -> list[tuple[int, ...]]:
 def _oracle_flats(x: int) -> set[tuple[int, ...]]:
     """Row-major cells of every order-x magic square; see oracle_search."""
     if x < 1:
-        raise ValueError(f"order must be >= 1, got {x}")
+        raise ValueError(f"order must be >= 1, got {_shorten(str(x))}")
     if x > ORACLE_MAX_ORDER:
-        raise ValueError(f"exhaustive search is capped at order {ORACLE_MAX_ORDER}, got {x}")
+        raise ValueError(f"exhaustive search is capped at order {ORACLE_MAX_ORDER}, got {_shorten(str(x))}")
     return {pick(flat) for flat in _frenicle_flats(x) for pick in _geometry(x).symmetry_pickers}
 
 

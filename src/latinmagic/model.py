@@ -7,11 +7,10 @@ value for each letter determines a numeric square.  The types here are
 immutable values; all operations are pure.
 
 Each value type is a _Record subclass that declares its fields once, as
-annotations.  A type that checks its values writes its own __init__,
-which runs the checks and sets the fields; any other type gets an
-__init__ generated from its annotations.  The base gives equality,
-hashing and repr by the fields and refuses any assignment or deletion
-afterwards.
+annotations.  Every record's __init__ is generated from its annotations,
+and a record that checks or normalizes its fields defines _post_init.
+The base gives equality, hashing and repr by the fields and refuses any
+assignment or deletion afterwards.
 """
 from __future__ import annotations
 
@@ -30,11 +29,12 @@ class _Record:
     nothing else; any later assignment or deletion raises AttributeError.
     Records are equal only to records of the same class with equal fields.
 
-    A subclass that checks its values writes its own __init__, which runs
-    the checks before it writes the fields.  Any other subclass gets one
-    generated from its annotations, compiled once per class: one parameter
-    per field, with a class attribute of the same name as that field's
-    default.
+    Every subclass's __init__ is generated from its annotations, compiled
+    once per class: one parameter per field, with a class attribute of the
+    same name as that field's default.  A subclass that checks or
+    normalizes its fields defines _post_init(self), which that __init__
+    calls last, with every field set: it raises to refuse the values, and
+    writes a normalized field through self.__dict__.
     """
 
     def __init_subclass__(cls) -> None:
@@ -45,6 +45,8 @@ class _Record:
         namespace = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
         params = "".join(f", {n}={n}" if n in namespace else f", {n}" for n in names)
         body = "".join(f"\n    fields[{n!r}] = {n}" for n in names)
+        if hasattr(cls, "_post_init"):
+            body += "\n    self._post_init()"
         exec(f"def __init__(self{params}):\n    fields = self.__dict__{body}", namespace)
         init = namespace["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"
@@ -85,12 +87,9 @@ class SymbolId(_Record):
     role: Role
     index: int
 
-    def __init__(self, role: Role, index: int) -> None:
-        if index < 0:
-            raise ValueError(f"symbol index must be >= 0, got {index}")
-        fields = self.__dict__
-        fields["role"] = role
-        fields["index"] = index
+    def _post_init(self) -> None:
+        if self.index < 0:
+            raise ValueError(f"symbol index must be >= 0, got {self.index}")
 
     @property
     def letter(self) -> str:
@@ -101,6 +100,15 @@ class SymbolId(_Record):
 
     def __str__(self) -> str:
         return self.letter
+
+
+def _shorten(token: str) -> str:
+    return token if len(token) <= 40 else f"{token[:16]}...{token[-16:]}"
+
+
+def _shown(values) -> str:
+    """values shown as a list, with each long value shortened."""
+    return "[" + ", ".join(_shorten(repr(v)) for v in values) + "]"
 
 
 def _check_square(cells: tuple, what: str) -> int:
@@ -134,14 +142,11 @@ class SymbolGrid(_Record):
     role: Role
     cells: tuple[tuple[int, ...], ...]
 
-    def __init__(self, role: Role, cells: tuple[tuple[int, ...], ...]) -> None:
-        order = _check_square(cells, "symbol grid")
-        for i, row in enumerate(cells):
+    def _post_init(self) -> None:
+        order = _check_square(self.cells, "symbol grid")
+        for i, row in enumerate(self.cells):
             for j, idx in enumerate(row):
                 _check_index(idx, i, j, order)
-        fields = self.__dict__
-        fields["role"] = role
-        fields["cells"] = cells
 
     @property
     def order(self) -> int:
@@ -153,15 +158,14 @@ class SuperposedGrid(_Record):
 
     cells: tuple[tuple[tuple[int, int], ...], ...]
 
-    def __init__(self, cells: tuple[tuple[tuple[int, int], ...], ...]) -> None:
-        order = _check_square(cells, "superposed grid")
-        for i, row in enumerate(cells):
+    def _post_init(self) -> None:
+        order = _check_square(self.cells, "superposed grid")
+        for i, row in enumerate(self.cells):
             for j, pair in enumerate(row):
                 if len(pair) != 2:
                     raise ValueError(f"cell ({i}, {j}) must hold a pair")
                 for idx in pair:
                     _check_index(idx, i, j, order)
-        self.__dict__["cells"] = cells
 
     @property
     def order(self) -> int:
@@ -191,30 +195,25 @@ class ValueAssignment(_Record):
     latin_values: tuple[int, ...]
     greek_values: tuple[int, ...]
 
-    def __init__(
-        self, latin_values: tuple[int, ...], greek_values: tuple[int, ...]
-    ) -> None:
-        x = len(latin_values)
-        if len(greek_values) != x:
+    def _post_init(self) -> None:
+        latin, greek = self.latin_values, self.greek_values
+        x = len(latin)
+        if len(greek) != x:
             raise ValueError(
                 "latin and greek value lists must have the same length, got "
-                f"{x} and {len(greek_values)}"
+                f"{x} and {len(greek)}"
             )
         if x == 0:
             raise ValueError("value assignment must cover at least one letter")
-        if sorted(latin_values) != list(range(0, x * x, x)):
+        if sorted(latin) != list(range(0, x * x, x)):
             raise ValueError(
                 f"latin values must be a permutation of multiples of {x} "
-                f"(0..{(x - 1) * x}), got {list(latin_values)}"
+                f"(0..{(x - 1) * x}), got {_shown(latin)}"
             )
-        if sorted(greek_values) != list(range(1, x + 1)):
+        if sorted(greek) != list(range(1, x + 1)):
             raise ValueError(
-                f"greek values must be a permutation of 1..{x}, "
-                f"got {list(greek_values)}"
+                f"greek values must be a permutation of 1..{x}, got {_shown(greek)}"
             )
-        fields = self.__dict__
-        fields["latin_values"] = latin_values
-        fields["greek_values"] = greek_values
 
     @property
     def order(self) -> int:
@@ -230,13 +229,12 @@ class Square(_Record):
 
     cells: tuple[tuple[int, ...], ...]
 
-    def __init__(self, cells: tuple[tuple[int, ...], ...]) -> None:
-        _check_square(cells, "square")
-        for i, row in enumerate(cells):
+    def _post_init(self) -> None:
+        _check_square(self.cells, "square")
+        for i, row in enumerate(self.cells):
             for j, value in enumerate(row):
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise ValueError(f"cell ({i}, {j}) is not an integer")
-        self.__dict__["cells"] = cells
 
     @property
     def order(self) -> int:

@@ -95,3 +95,31 @@ def test_render_names_both_formats():
     with pytest.raises(ValueError) as info:
         render(SquareDocument(order=1, cells=((1,),)), "yaml")
     assert str(info.value) == "format must be 'text' or 'structured', got 'yaml'"
+
+
+LONG = "9" * 4300
+LO_SHU_WITH_LONG_VALUE = (
+    '{"order": 3, "cells": [[2, 9, 4], [7, 5, 3], [6, 1, 8]], "family": "e3.reflect", '
+    f'"latin_values": [{LONG}, 6, 3], "greek_values": [1, 3, 2]}}'
+)
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["oracle", "--order", LONG], None),
+        (["oracle", "--order", f"-{LONG}"], None),
+        (["gen", "--family", "e3.reflect", "--latin", f"{LONG},0,3", "--greek", "1,3,2"], None),
+        (["gen", "--family", "e3.reflect", "--latin", "0,6,3", "--greek", f"{LONG},3,2"], None),
+        (["verify"], LO_SHU_WITH_LONG_VALUE),
+    ],
+    ids=["order", "negative order", "latin", "greek", "verify latin_values"],
+)
+def test_library_messages_shorten_a_long_integer(capsys, monkeypatch, argv, stdin):
+    # values of up to 4,300 digits pass the CLI's own cap and reach the library
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert "999...999" in err

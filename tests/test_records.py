@@ -319,3 +319,37 @@ def test_own_initializer_is_kept():
     assert Checked(1) == Checked(value=1)
     with pytest.raises(ValueError, match="negative"):
         Checked(-1)
+
+
+def test_post_init_sees_every_field_and_its_error_propagates():
+    seen = []
+
+    class Checked(_Record):
+        low: int
+        high: int = 9
+
+        def _post_init(self) -> None:
+            seen.append(dict(vars(self)))
+            if self.low > self.high:
+                raise ValueError("low above high")
+
+    assert Checked(1) == Checked(low=1, high=9)
+    assert seen == [{"low": 1, "high": 9}] * 2
+    with pytest.raises(ValueError, match="low above high"):
+        Checked(5, high=4)
+    assert seen[-1] == {"low": 5, "high": 4}
+
+    class Plain(_Record):
+        low: int
+
+    assert "_post_init" not in Plain.__init__.__code__.co_names
+    assert "_post_init" in Checked.__init__.__code__.co_names
+
+
+def test_every_package_record_has_the_generated_initializer():
+    records = [
+        cls for cls in _Record.__subclasses__() if cls.__module__.startswith("latinmagic")
+    ]
+    assert set(RECORDS) <= set(records)
+    for cls in records:
+        assert cls.__init__.__code__.co_filename == "<string>", cls.__qualname__

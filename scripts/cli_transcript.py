@@ -10,8 +10,12 @@ errors differently across Python versions, so for those the line keeps
 only the first word of stderr, "usage:".  A change that alters an output on
 purpose regenerates the file and lists each changed call.
 
-Left out for time: e5.diag's dihedral listing, the full order-5 listings
-and the order-4 oracle.  tests/test_cli.py pins the first and the last by
+The documents that `verify` reads by path from tests/transcript_inputs
+stay out of tests/data, whose files are each read once by path and once
+from stdin.
+
+Left out for time: e5.diag's full and dihedral listings and the order-4
+oracle.  tests/test_cli.py pins the dihedral listing and the oracle by
 sha256.
 """
 from __future__ import annotations
@@ -30,6 +34,7 @@ from latinmagic.construct import FAMILIES
 ROOT = Path(__file__).resolve().parent.parent
 TRANSCRIPT = ROOT / "tests" / "cli_transcript.jsonl"
 DATA = "tests/data"
+INPUTS = "tests/transcript_inputs"
 FAMILY_IDS = (*FAMILIES, "e9.unknown")
 FORMATS = ((), ("--format", "structured"))
 USAGE = "usage:"
@@ -47,15 +52,35 @@ def calls() -> list[tuple[list[str], str | None]]:
             for fmt in FORMATS:
                 for command in (
                     ("gen",), ("constraints",), ("enumerate", "--count-only"),
-                    ("enumerate", "--dedup", "dihedral"),
+                    ("enumerate",), ("enumerate", "--dedup", "dihedral"),
                 ):
-                    if command[-1] == "dihedral" and (family, variant) == ("e5.diag", ()):
+                    listing = command[0] == "enumerate" and command[-1] != "--count-only"
+                    if listing and (family, variant) == ("e5.diag", ()):
                         continue
                     listed.append(([command[0], "--family", family, *command[1:], *variant, *fmt], None))
+    for values in (
+        ("--latin", "0,6,3", "--greek", "1,3,2"),  # the Lo Shu
+        ("--latin", "0,3,6", "--greek", "1,3,2"),  # breaks 2c = a+b
+        ("--latin", "0,3,3", "--greek", "1,3,2"),  # not a permutation
+        ("--latin", "0,3", "--greek", "1,3,2"),
+        ("--latin", "0,4,8,12", "--greek", "1,2,3,4"),  # order 4 on an order-3 figure
+        ("--latin", "0,6,3"),
+    ):
+        for fmt in FORMATS:
+            listed.append((["gen", "--family", "e3.reflect", *values, *fmt], None))
+    for fmt in FORMATS:
+        listed.append((
+            ["gen", "--family", "e6.editor", "--latin", "0,6,12,18,24,30",
+             "--greek", "1,2,3,4,5,6", *fmt],
+            None,
+        ))
     for name in sorted(os.listdir(ROOT / DATA)):
         for fmt in FORMATS:
             listed.append((["verify", f"{DATA}/{name}", *fmt], None))
             listed.append((["verify", "-", *fmt], f"{DATA}/{name}"))
+    for name in sorted(os.listdir(ROOT / INPUTS)):
+        for fmt in FORMATS:
+            listed.append((["verify", f"{INPUTS}/{name}", *fmt], None))
     for order in ("0", "1", "2", "3", "-1", "x"):
         for count in ((), ("--count-only",)):
             for fmt in FORMATS:

@@ -681,6 +681,16 @@ def test_listing_templates_match_grid_text_and_json(flats):
         assert out.getvalue() == text
 
 
+@given(st.integers(1, 6).flatmap(
+    lambda x: st.lists(st.lists(st.integers(), min_size=x, max_size=x), min_size=x, max_size=x)
+))
+def test_text_grid_right_aligns_every_value_to_the_widest(rows):
+    cells = tuple(map(tuple, rows))
+    width = max(len(str(value)) for row in cells for value in row)
+    expected = "\n".join(" ".join(str(value).rjust(width) for value in row) for row in cells)
+    assert render(SquareDocument(len(cells), cells), "text") == expected
+
+
 def test_enumerate_count_only(capsys):
     code, out, _ = cli(
         capsys, "enumerate", "--family", "e3.reflect", "--count-only"

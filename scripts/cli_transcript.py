@@ -58,22 +58,17 @@ def calls() -> list[tuple[list[str], str | None]]:
                     if listing and (family, variant) == ("e5.diag", ()):
                         continue
                     listed.append(([command[0], "--family", family, *command[1:], *variant, *fmt], None))
-    for values in (
-        ("--latin", "0,6,3", "--greek", "1,3,2"),  # the Lo Shu
-        ("--latin", "0,3,6", "--greek", "1,3,2"),  # breaks 2c = a+b
-        ("--latin", "0,3,3", "--greek", "1,3,2"),  # not a permutation
-        ("--latin", "0,3", "--greek", "1,3,2"),
-        ("--latin", "0,4,8,12", "--greek", "1,2,3,4"),  # order 4 on an order-3 figure
-        ("--latin", "0,6,3"),
+    for family, values in (
+        ("e3.reflect", ("--latin", "0,6,3", "--greek", "1,3,2")),  # the Lo Shu
+        ("e3.reflect", ("--latin", "0,3,6", "--greek", "1,3,2")),  # breaks 2c = a+b
+        ("e3.reflect", ("--latin", "0,3,3", "--greek", "1,3,2")),  # not a permutation
+        ("e3.reflect", ("--latin", "0,3", "--greek", "1,3,2")),
+        ("e3.reflect", ("--latin", "0,4,8,12", "--greek", "1,2,3,4")),  # order 4 on order 3
+        ("e3.reflect", ("--latin", "0,6,3")),
+        ("e6.editor", ("--latin", "0,6,12,18,24,30", "--greek", "1,2,3,4,5,6")),
     ):
         for fmt in FORMATS:
-            listed.append((["gen", "--family", "e3.reflect", *values, *fmt], None))
-    for fmt in FORMATS:
-        listed.append((
-            ["gen", "--family", "e6.editor", "--latin", "0,6,12,18,24,30",
-             "--greek", "1,2,3,4,5,6", *fmt],
-            None,
-        ))
+            listed.append((["gen", "--family", family, *values, *fmt], None))
     for name in sorted(os.listdir(ROOT / DATA)):
         for fmt in FORMATS:
             listed.append((["verify", f"{DATA}/{name}", *fmt], None))

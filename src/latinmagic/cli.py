@@ -25,12 +25,12 @@ from .construct import (
 from .enumeration import (
     FamilyCensus,
     _canonical_flat,
-    _family_cells,
+    _figure_cells,
     _oracle_flats,
     census,
 )
 from .model import Square, ValueAssignment, _Record, _shorten
-from .verify import VerificationReport, Verdict, verify_magic
+from .verify import VerificationReport, Verdict, _flat, verify_magic
 
 
 class SquareParseError(ValueError):
@@ -106,6 +106,7 @@ def parse_square(text: str) -> SquareDocument:
     the order is the number of non-blank lines and every row must match it.
     Structured input is a JSON object with at least an "order" and "cells".
     """
+    text = text.removeprefix("\ufeff")
     stripped = text.strip()
     if not stripped:
         raise SquareParseError("empty input: expected a square grid")
@@ -253,11 +254,14 @@ def _provenance_mismatch(doc: SquareDocument) -> str | None:
     )
 
 
+def _grid_template(x: int, width: int) -> str:
+    """x rows of x %-fields, each right-aligned to width, for a row-major tuple."""
+    return "\n".join([" ".join([f"%{width}s"] * x)] * x)
+
+
 def _grid_text(cells) -> str:
-    width = max(len(str(value)) for row in cells for value in row)
-    return "\n".join(
-        " ".join(str(value).rjust(width) for value in row) for row in cells
-    )
+    flat = _flat(cells)
+    return _grid_template(len(cells), max(len(str(value)) for value in flat)) % flat
 
 
 def _json_text(payload) -> str:
@@ -327,24 +331,20 @@ def _render_report(report: VerificationReport, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _render_census(result: FamilyCensus, fmt: str) -> str:
+def _counts_text(counts, fmt: str) -> str:
+    """(json key, text label, value) triples as one JSON object or as "label: value" lines."""
     if fmt != "text":
-        return _json_text(
-            {
-                "family": result.family_id,
-                "assignments_total": result.assignments_total,
-                "squares_distinct": result.squares_distinct,
-                "squares_distinct_dihedral": result.squares_distinct_dihedral,
-            }
-        )
-    return "\n".join(
-        [
-            f"family: {result.family_id}",
-            f"assignments: {result.assignments_total}",
-            f"distinct squares: {result.squares_distinct}",
-            f"distinct squares up to symmetry: {result.squares_distinct_dihedral}",
-        ]
-    )
+        return _json_text({key: value for key, _, value in counts})
+    return "\n".join(f"{label}: {value}" for _, label, value in counts)
+
+
+def _render_census(result: FamilyCensus, fmt: str) -> str:
+    return _counts_text([
+        ("family", "family", result.family_id),
+        ("assignments_total", "assignments", result.assignments_total),
+        ("squares_distinct", "distinct squares", result.squares_distinct),
+        ("squares_distinct_dihedral", "distinct squares up to symmetry", result.squares_distinct_dihedral),
+    ], fmt)
 
 
 def _read_input(path: str) -> str:
@@ -401,8 +401,7 @@ def _print_squares(flats, fmt: str, header: dict) -> None:
         body = ",\n    ".join([square % flat for flat in listed])
         print(head + ',\n  "squares": [\n    ' + body + "\n  ]\n}")
         return
-    width = len(str(x * x))
-    grid = "\n".join([" ".join([f"%{width}d"] * x)] * x)
+    grid = _grid_template(x, len(str(x * x)))
     write = sys.stdout.write
     write(grid % first + "\n")
     grid = "\n" + grid + "\n"
@@ -452,11 +451,11 @@ def _cmd_verify(args) -> int:
     return 0 if report.verdict is Verdict.MAGIC else 1
 
 
-def _dihedral_representatives(flats):
-    """The first row-major square of each symmetry class, in input order."""
+def _dihedral_representatives(flats, x: int):
+    """The first row-major order-x square of each symmetry class, in input order."""
     seen: set = set()
     for flat in flats:
-        key = _canonical_flat(flat, isqrt(len(flat)))
+        key = _canonical_flat(flat, x)
         if key not in seen:
             seen.add(key)
             yield flat
@@ -466,9 +465,10 @@ def _cmd_enumerate(args) -> int:
     if args.count_only:
         print(render(census(args.family, variant=args.variant), args.format))
         return 0
-    flats = _family_cells(args.family, args.variant)
+    figure = magic_figure(args.family, args.variant)
+    flats = _figure_cells(figure, args.family)
     if args.dedup == "dihedral":
-        flats = _dihedral_representatives(flats)
+        flats = _dihedral_representatives(flats, figure.order)
     _print_squares(flats, args.format, {"family": args.family})
     return 0
 
@@ -500,11 +500,7 @@ def _cmd_oracle(args) -> int:
         raise ValueError(f"--order expects an integer, got {_shorten(repr(args.order))}") from None
     flats = _oracle_flats(order)
     if args.count_only:
-        if args.format != "text":
-            print(_json_text({"order": order, "count": len(flats)}))
-        else:
-            print(f"order: {order}")
-            print(f"squares: {len(flats)}")
+        print(_counts_text([("order", "order", order), ("count", "squares", len(flats))], args.format))
         return 0
     ordered = sorted(flats, key=lambda flat: (_canonical_flat(flat, order), flat))
     _print_squares(ordered, args.format, {"order": order})

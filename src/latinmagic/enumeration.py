@@ -6,12 +6,11 @@ any figure construction, so family output can be checked against it.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
 from operator import add
 from typing import Iterator
 
 from .construct import diagonal_constraints, magic_figure, solve_assignments
-from .model import Square, _Record, _rref, _shorten, magic_constant
+from .model import Square, SuperposedGrid, _Record, _check_order, _rref, _shorten, magic_constant
 from .verify import _flat, _geometry, _is_magic, _picker, _unflat
 
 ORACLE_MAX_ORDER = 4
@@ -59,10 +58,7 @@ def _canonical_flat(flat: tuple[int, ...], x: int) -> tuple[int, ...]:
 
 def canonicalize(square: Square) -> CanonicalSquare:
     """The least of the square's eight images, compared as row-major tuples."""
-    flat = _flat(square.cells)
-    least = _canonical_flat(flat, square.order)
-    if least == flat:  # keep the square's own rows rather than copies
-        return CanonicalSquare(square)
+    least = _canonical_flat(_flat(square.cells), square.order)
     return CanonicalSquare(Square(_unflat(least, square.order)))
 
 
@@ -73,15 +69,14 @@ class FamilyCensus(_Record):
     squares_distinct_dihedral: int
 
 
-def _family_cells(family_id: str, variant: str) -> Iterator[tuple[int, ...]]:
-    """Row-major cells of enumerate_family's squares, each audited by _is_magic.
+def _figure_cells(figure: SuperposedGrid, family_id: str) -> Iterator[tuple[int, ...]]:
+    """Row-major cells of the squares a figure makes, each audited by _is_magic.
 
     Each cell is its Latin letter's value plus its Greek letter's: the
     figure's two letter grids are pickers over the value tuples, each
     remembered for this call (an alphabet has at most x! value tuples),
     and a square is the cellwise sum of the two picks.
     """
-    figure = magic_figure(family_id, variant)
     constraints = diagonal_constraints(figure)
     x = figure.order
     pairs = _flat(figure.cells)
@@ -106,19 +101,20 @@ def enumerate_family(family_id: str, variant: str = "c") -> Iterator[Square]:
     can make magic squares is not enumerable and raises ValueError on the
     first step (OrthogonalityError for a figure that repeats a letter pair).
     """
-    for flat in _family_cells(family_id, variant):
-        yield Square(_unflat(flat, isqrt(len(flat))))
+    figure = magic_figure(family_id, variant)
+    for flat in _figure_cells(figure, family_id):
+        yield Square(_unflat(flat, figure.order))
 
 
 def census(family_id: str, variant: str = "c") -> FamilyCensus:
     """Counts for a family: assignments, distinct squares, dihedral classes."""
-    flats = list(_family_cells(family_id, variant))
-    x = isqrt(len(flats[0])) if flats else 1
+    figure = magic_figure(family_id, variant)
+    flats = list(_figure_cells(figure, family_id))
     return FamilyCensus(
         family_id=family_id,
         assignments_total=len(flats),
         squares_distinct=len(set(flats)),
-        squares_distinct_dihedral=len({_canonical_flat(flat, x) for flat in flats}),
+        squares_distinct_dihedral=len({_canonical_flat(flat, figure.order) for flat in flats}),
     )
 
 
@@ -270,8 +266,7 @@ def _frenicle_flats(x: int) -> list[tuple[int, ...]]:
 
 def _oracle_flats(x: int) -> set[tuple[int, ...]]:
     """Row-major cells of every order-x magic square; see oracle_search."""
-    if x < 1:
-        raise ValueError(f"order must be >= 1, got {_shorten(str(x))}")
+    _check_order(x)
     if x > ORACLE_MAX_ORDER:
         raise ValueError(f"exhaustive search is capped at order {ORACLE_MAX_ORDER}, got {_shorten(str(x))}")
     return {pick(flat) for flat in _frenicle_flats(x) for pick in _geometry(x).symmetry_pickers}

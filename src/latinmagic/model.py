@@ -241,17 +241,20 @@ class Square(_Record):
         return len(self.cells)
 
 
+def _check_order(x: int) -> None:
+    if x < 1:
+        raise ValueError(f"order must be >= 1, got {_shorten(str(x))}")
+
+
 def magic_constant(x: int) -> int:
     """Common line sum of an x-by-x square holding 1..x*x: x*(1 + x*x)/2."""
-    if x < 1:
-        raise ValueError(f"order must be >= 1, got {x}")
+    _check_order(x)
     return x * (1 + x * x) // 2
 
 
 def decompose(k: int, x: int) -> tuple[int, int]:
     """Split k in 1..x*x into (m, n) with k = m*x + n, 0 <= m < x, 1 <= n <= x."""
-    if x < 1:
-        raise ValueError(f"order must be >= 1, got {x}")
+    _check_order(x)
     if not 1 <= k <= x * x:
         raise ValueError(f"value {k} outside 1..{x * x}")
     m = (k - 1) // x
@@ -261,8 +264,7 @@ def decompose(k: int, x: int) -> tuple[int, int]:
 
 def compose(m: int, n: int, x: int) -> int:
     """Inverse of decompose: m*x + n with the same range checks."""
-    if x < 1:
-        raise ValueError(f"order must be >= 1, got {x}")
+    _check_order(x)
     if not 0 <= m <= x - 1:
         raise ValueError(f"multiple part {m} outside 0..{x - 1}")
     if not 1 <= n <= x:

@@ -22,6 +22,7 @@ from .model import (
     SymbolGrid,
     SymbolId,
     _Record,
+    _check_order,
     magic_constant,
 )
 
@@ -56,8 +57,7 @@ class Verdict(Enum):
 
 def all_lines(x: int) -> tuple[LineId, ...]:
     """Rows first, then columns, then the two diagonals."""
-    if x < 1:
-        raise ValueError(f"order must be >= 1, got {x}")
+    _check_order(x)
     return _geometry(x).line_ids
 
 

@@ -123,3 +123,47 @@ def test_library_messages_shorten_a_long_integer(capsys, monkeypatch, argv, stdi
     assert out == ""
     assert err.count("\n") == 1 and len(err.encode()) < 200
     assert "999...999" in err
+
+
+BOM = "\ufeff".encode()
+LO_SHU_GRID = b"2 9 4\n7 5 3\n6 1 8\n"
+LO_SHU_JSON = b'{\n  "order": 3,\n  "cells": [[2, 9, 4], [7, 5, 3], [6, 1, 8]]\n}\n'
+
+
+def verify_bytes(capsys, monkeypatch, tmp_path, data, source, fmt="text"):
+    """(exit code, stdout, stderr) of verify reading data from a path or stdin."""
+    if source == "path":
+        path = tmp_path / "square"
+        path.write_bytes(data)
+        argv = ["verify", str(path)]
+    else:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        argv = ["verify", "-"]
+    code = run([*argv, "--format", fmt])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("source", ["path", "stdin"])
+@pytest.mark.parametrize("square", [LO_SHU_GRID, LO_SHU_JSON], ids=["grid", "json"])
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_verify_drops_a_leading_byte_order_mark(capsys, monkeypatch, tmp_path, source, square, fmt):
+    plain = verify_bytes(capsys, monkeypatch, tmp_path, square, source, fmt)
+    marked = verify_bytes(capsys, monkeypatch, tmp_path, BOM + square, source, fmt)
+    assert marked == plain
+    assert plain[0] == 0 and "\ufeff" not in plain[1]
+
+
+@pytest.mark.parametrize("source", ["path", "stdin"])
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (BOM * 2 + LO_SHU_GRID, "invalid integer '\\ufeff2' at line 1, column 1"),
+        (BOM * 2 + LO_SHU_JSON, "ragged grid at line 1: expected 4 cells, found 1"),
+        (b"2 9 4\n7 " + BOM + b"5 3\n6 1 8\n", "invalid integer '\\ufeff5' at line 2, column 2"),
+        (BOM + b"2 9 4\n\xff\n", "input is not UTF-8: invalid start byte at byte offset 9"),
+    ],
+    ids=["two marks", "two marks before json", "mark inside a row", "bad byte after a mark"],
+)
+def test_verify_keeps_any_other_byte_order_mark(capsys, monkeypatch, tmp_path, source, data, message):
+    assert verify_bytes(capsys, monkeypatch, tmp_path, data, source) == (2, "", f"error: {message}\n")

@@ -69,6 +69,10 @@ def calls() -> list[tuple[list[str], str | None]]:
     ):
         for fmt in FORMATS:
             listed.append((["gen", "--family", family, *values, *fmt], None))
+    # names long enough that an error echoing them whole would show it
+    for command in (("gen",), ("constraints",), ("enumerate", "--count-only")):
+        listed.append(([command[0], "--family", "x" * 100, *command[1:]], None))
+    listed.append((["gen", "--family", "e4.diag", "--variant", "z" * 100], None))
     for name in sorted(os.listdir(ROOT / DATA)):
         for fmt in FORMATS:
             listed.append((["verify", f"{DATA}/{name}", *fmt], None))

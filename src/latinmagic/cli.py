@@ -16,7 +16,6 @@ from .construct import (
     FAMILIES,
     OrthogonalityError,
     _checked_square,
-    build_square,
     diagonal_constraints,
     editor_square,
     magic_figure,
@@ -29,7 +28,7 @@ from .enumeration import (
     _oracle_flats,
     census,
 )
-from .model import Square, ValueAssignment, _Record, _shorten
+from .model import Square, ValueAssignment, _Record, _shorten, evaluate
 from .verify import VerificationReport, Verdict, _flat, verify_magic
 
 
@@ -231,14 +230,14 @@ def _provenance_mismatch(doc: SquareDocument) -> str | None:
 
     None when the document names no family or lacks a value list, or when
     the cells match.  A document carries no variant, so a match with any
-    variant of the family counts.
+    figure of the family counts.  Only evaluation runs: the report says if it is magic.
     """
     if doc.family is None or doc.latin_values is None or doc.greek_values is None:
         return None
     assignment = ValueAssignment(doc.latin_values, doc.greek_values)
     built, *others = (
-        build_square(doc.family, assignment, variant).cells
-        for variant in FAMILIES[doc.family].figures
+        evaluate(figure, assignment).cells
+        for figure in FAMILIES[doc.family].figures.values()
     )
     if doc.cells == built or doc.cells in others:
         return None

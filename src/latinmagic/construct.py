@@ -23,6 +23,7 @@ from .model import (
     _Record,
     _reduce,
     _rref,
+    _shorten,
     evaluate,
     superpose,
 )
@@ -459,7 +460,7 @@ def family_figure(family_id: str, variant: str = "c") -> SuperposedGrid:
     family = FAMILIES.get(family_id)
     if family is None:
         known = ", ".join(FAMILIES)
-        raise ValueError(f"unknown family {family_id!r} (known: {known})")
+        raise ValueError(f"unknown family {_shorten(repr(family_id))} (known: {known})")
     if not family.figures:
         raise ValueError(
             f"{family_id} is a fixed square, not enumerable; use gen without "
@@ -467,7 +468,7 @@ def family_figure(family_id: str, variant: str = "c") -> SuperposedGrid:
         )
     if variant not in family.figures:
         raise ValueError(
-            f"variant {variant!r} does not apply to {family_id} "
+            f"variant {_shorten(repr(variant))} does not apply to {family_id} "
             f"(variants: {', '.join(family.figures)})"
         )
     return family.figures[variant]

@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latinmagic
-from latinmagic import FAMILIES, Square, dihedral_images, verify_magic
+from latinmagic import (
+    FAMILIES, Square, ValueAssignment, Verdict, dihedral_images, evaluate, verify_magic,
+)
 from latinmagic import cli as cli_module, construct
 from latinmagic.cli import SquareDocument, SquareParseError, parse_square, render, run
 from latinmagic.verify import _unflat
@@ -518,6 +520,54 @@ def test_verify_accepts_every_generated_document(capsys, monkeypatch):
             assert cli(capsys, "verify", stdin=out, monkeypatch=monkeypatch)[0] == 0
             checked += 1
     assert checked == 11
+
+
+FIGURES = [
+    (family.family_id, figure)
+    for family in FAMILIES.values()
+    for figure in family.figures.values()
+]
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(FIGURES),
+    st.sampled_from(["text", "structured"]),
+    st.data(),
+)
+def test_verify_reports_whatever_square_the_letter_values_make(named, fmt, data):
+    # letter values that break a line condition, or a figure that repeats
+    # letter pairs (e6.paired), give a square audited like any other
+    family_id, figure = named
+    x = figure.order
+    latin = data.draw(st.permutations(range(0, x * x, x)))
+    greek = data.draw(st.permutations(range(1, x + 1)))
+    square = evaluate(figure, ValueAssignment(tuple(latin), tuple(greek)))
+    document = {
+        "cells": [list(row) for row in square.cells],
+        "family": family_id,
+        "latin_values": latin,
+        "greek_values": greek,
+    }
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(document))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["verify", "--format", fmt])
+    report = verify_magic(square)
+    assert code == (0 if report.verdict is Verdict.MAGIC else 1)
+    assert (out.getvalue(), err.getvalue()) == (render(report, fmt) + "\n", "")
+
+
+def test_verify_refuses_letter_values_that_are_not_permutations(capsys, monkeypatch):
+    document = {**LO_SHU_DOCUMENT, "latin_values": [0, 3, 3]}
+    code, out, err = cli(
+        capsys, "verify", stdin=json.dumps(document), monkeypatch=monkeypatch
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: latin values must be a permutation of multiples of 3 (0..6), "
+        "got [0, 3, 3]\n"
+    )
 
 
 def test_verify_rejects_oversized_integers(capsys, monkeypatch):

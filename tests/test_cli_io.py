@@ -167,3 +167,21 @@ def test_verify_drops_a_leading_byte_order_mark(capsys, monkeypatch, tmp_path, s
 )
 def test_verify_keeps_any_other_byte_order_mark(capsys, monkeypatch, tmp_path, source, data, message):
     assert verify_bytes(capsys, monkeypatch, tmp_path, data, source) == (2, "", f"error: {message}\n")
+
+
+LONG_NAME = "x" * 5000
+
+
+@pytest.mark.parametrize(
+    "command", [["gen"], ["constraints"], ["enumerate", "--count-only"]],
+    ids=["gen", "constraints", "enumerate"],
+)
+@pytest.mark.parametrize(
+    "names", [[LONG_NAME], ["e4.diag", "--variant", LONG_NAME]], ids=["family", "variant"]
+)
+def test_a_long_family_or_variant_is_shortened_in_the_error(capsys, command, names):
+    assert run([command[0], "--family", *names, *command[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and len(err.encode()) < 300
+    assert f"'{'x' * 15}...{'x' * 15}'" in err

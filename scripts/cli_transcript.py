@@ -73,6 +73,11 @@ def calls() -> list[tuple[list[str], str | None]]:
     for command in (("gen",), ("constraints",), ("enumerate", "--count-only")):
         listed.append(([command[0], "--family", "x" * 100, *command[1:]], None))
     listed.append((["gen", "--family", "e4.diag", "--variant", "z" * 100], None))
+    # a path past the file system's name limit, and a --format value, both
+    # long enough that an error echoing them whole would show it
+    listed.append((["verify", "x" * 1000], None))
+    for command in (["verify"], ["gen", "--family", "e4.diag"]):
+        listed.append(([*command, "--format", "y" * 1000], None))
     for name in sorted(os.listdir(ROOT / DATA)):
         for fmt in FORMATS:
             listed.append((["verify", f"{DATA}/{name}", *fmt], None))

@@ -349,8 +349,11 @@ def _render_census(result: FamilyCensus, fmt: str) -> str:
 def _read_input(path: str) -> str:
     """The text of a file or of stdin ('-'), decoded as strict UTF-8."""
     if path != "-":
-        with open(path, "rb") as handle:
-            data = handle.read()
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, _shorten(path)) from None
     elif sys.stdin is None:
         raise OSError("stdin is closed")
     elif hasattr(sys.stdin, "buffer"):
@@ -520,7 +523,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "superposed Latin and Greek letter grids.",
     )
     formats = argparse.ArgumentParser(add_help=False)
-    formats.add_argument("--format", choices=_FORMATS, default="text")
+    # argparse repeats an invalid choice back after the usage line, so the
+    # value is shortened (a choice stays whole) and the usage names no choices
+    formats.add_argument(
+        "--format", choices=_FORMATS, type=_shorten, default="text",
+        metavar="FORMAT", help=f"{' or '.join(_FORMATS)} (default: text)",
+    )
     family = argparse.ArgumentParser(add_help=False)
     family.add_argument("--family", required=True, help="family id, see 'families'")
     family.add_argument("--variant", default="c")

@@ -278,7 +278,8 @@ def solve_assignments(constraints, x: int):
 
     Enumerates the full permutation space, so x is capped at
     MAX_SOLVE_ORDER.  Output order is lexicographic over the pair
-    (latin value tuple, greek value tuple).
+    (latin value tuple, greek value tuple).  Each assignment is built from
+    permutations of the domains, not re-checked (ValueAssignment._trusted).
     """
     if not 1 <= x <= MAX_SOLVE_ORDER:
         raise ValueError(
@@ -292,6 +293,7 @@ def solve_assignments(constraints, x: int):
             )
     latin_domain = tuple(i * x for i in range(x))
     greek_domain = tuple(range(1, x + 1))
+    trusted = ValueAssignment._trusted
 
     # A pair satisfies a constraint when the latin part's contribution is
     # the exact negative of the greek part's, so bucket greek permutations
@@ -309,7 +311,7 @@ def solve_assignments(constraints, x: int):
             for constraint in constraints
         )
         for greek in buckets.get(need, ()):
-            yield ValueAssignment(latin, greek)
+            yield trusted(latin, greek)
 
 
 # --- figure families -------------------------------------------------------

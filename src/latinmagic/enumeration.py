@@ -42,12 +42,15 @@ def _canonical_flat(flat: tuple[int, ...], x: int) -> tuple[int, ...]:
     Every image starts with a corner, so the least image starts with the
     least corner value, and only the images that start with a corner
     holding it are compared: the two of that corner when one corner holds
-    it, two per corner when corners tie (and all eight, four times over,
-    at order 1, whose four corners are one cell).
+    it, as in every magic square, and two per corner when corners tie (all
+    eight, four times over, at order 1, whose four corners are one cell).
     """
     geometry = _geometry(x)
     corners = geometry.corner_picker(flat)
     least = min(corners)
+    if corners.count(least) == 1:
+        first, second = geometry.corner_pickers[corners.index(least)]
+        return min(first(flat), second(flat))
     return min([
         pick(flat)
         for corner, picks in zip(corners, geometry.corner_pickers)
@@ -79,13 +82,14 @@ def _figure_cells(figure: SuperposedGrid, family_id: str) -> Iterator[tuple[int,
     """
     constraints = diagonal_constraints(figure)
     x = figure.order
+    is_magic = _geometry(x).is_magic
     pairs = _flat(figure.cells)
     pick_latin = lru_cache(maxsize=None)(_picker(tuple(l for l, _ in pairs)))
     pick_greek = lru_cache(maxsize=None)(_picker(tuple(g for _, g in pairs)))
     for assignment in solve_assignments(constraints, x):
         latin, greek = assignment.latin_values, assignment.greek_values
         flat = tuple(map(add, pick_latin(latin), pick_greek(greek)))
-        if not _is_magic(flat, x):
+        if not is_magic(flat):
             raise AssertionError(
                 f"family {family_id} produced a non-magic square for "
                 f"{assignment}; constraint extraction is unsound"
@@ -109,12 +113,13 @@ def enumerate_family(family_id: str, variant: str = "c") -> Iterator[Square]:
 def census(family_id: str, variant: str = "c") -> FamilyCensus:
     """Counts for a family: assignments, distinct squares, dihedral classes."""
     figure = magic_figure(family_id, variant)
+    x = figure.order
     flats = list(_figure_cells(figure, family_id))
     return FamilyCensus(
         family_id=family_id,
         assignments_total=len(flats),
         squares_distinct=len(set(flats)),
-        squares_distinct_dihedral=len({_canonical_flat(flat, figure.order) for flat in flats}),
+        squares_distinct_dihedral=len({_canonical_flat(flat, x) for flat in flats}),
     )
 
 

@@ -185,3 +185,38 @@ def test_a_long_family_or_variant_is_shortened_in_the_error(capsys, command, nam
     assert out == ""
     assert err.count("\n") == 1 and len(err.encode()) < 300
     assert f"'{'x' * 15}...{'x' * 15}'" in err
+
+
+LONG_VALUE = "x" * 100_000
+SHORTENED = f"'{'x' * 16}...{'x' * 16}'"
+
+
+def test_a_long_path_is_shortened_in_the_error(capsys):
+    assert run(["verify", LONG_VALUE]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: [Errno ")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert err.endswith(f": {SHORTENED}\n")
+
+
+def test_a_short_missing_path_is_named_whole(capsys):
+    path = "tests/data/no_such_file.txt"
+    assert run(["verify", path]) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: {path!r}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    # the usage takes 56 bytes for verify and 135, on two lines, for gen
+    [(["verify"], 200), (["gen", "--family", "e4.diag"], 300)],
+    ids=["verify", "gen"],
+)
+def test_a_long_format_is_shortened_in_the_usage_error(capsys, monkeypatch, argv, limit):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run([*argv, "--format", LONG_VALUE]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage:")
+    assert len(err.encode()) < limit
+    assert f"argument --format: invalid choice: {SHORTENED}" in err

@@ -1,5 +1,6 @@
 """Figure families, mirroring, line shifting, constraints, and solving."""
 import itertools
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -500,3 +501,33 @@ def test_variant_d_assignments_build_magic_squares():
     for assignment in sample:
         square = build_square("e4.diag", assignment, variant="d")
         assert verify_magic(square).verdict is Verdict.MAGIC
+
+
+def _solver_cases():
+    for family in FAMILIES.values():
+        for variant, figure in family.figures.items():
+            constraints = diagonal_constraints(figure)
+            yield pytest.param(constraints, family.order, id=f"{family.family_id}-{variant}")
+    for x in range(1, 6):
+        yield pytest.param([], x, id=f"unconstrained-{x}")
+
+
+@pytest.mark.parametrize("constraints, x", list(_solver_cases()))
+def test_solver_records_pass_the_check_they_skip(constraints, x):
+    # the solver builds its records unchecked: the checked constructor must
+    # accept every one of them and give an equal record
+    found = list(solve_assignments(constraints, x))
+    for assignment in found:
+        assert ValueAssignment(assignment.latin_values, assignment.greek_values) == assignment
+    if not constraints:
+        assert len(found) == factorial(x) ** 2
+
+
+def test_unchecked_record_equals_the_checked_one():
+    values = ((0, 6, 3), (1, 3, 2))
+    unchecked, checked = ValueAssignment._trusted(*values), ValueAssignment(*values)
+    assert type(unchecked) is ValueAssignment
+    assert unchecked == checked and checked == unchecked
+    assert hash(unchecked) == hash(checked)
+    assert repr(unchecked) == repr(checked)
+    assert vars(unchecked) == vars(checked)

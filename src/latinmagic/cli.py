@@ -103,7 +103,8 @@ def parse_square(text: str) -> SquareDocument:
 
     Grid text holds one row per line with whitespace-separated integers;
     the order is the number of non-blank lines and every row must match it.
-    Structured input is a JSON object with at least an "order" and "cells".
+    Structured input is a JSON object with at least an "order" and "cells";
+    its letter values come as both lists and a "family", or not at all.
     """
     text = text.removeprefix("\ufeff")
     stripped = text.strip()
@@ -203,12 +204,21 @@ def _parse_structured(text: str) -> SquareDocument:
                     f"'{key}' does not apply: {family} is a fixed square "
                     "with no letter values"
                 )
+    latin = _letter_values(data, "latin_values", order)
+    greek = _letter_values(data, "greek_values", order)
+    if (latin is None) != (greek is None):
+        missing = "greek_values" if greek is None else "latin_values"
+        raise SquareParseError(
+            f"'{missing}' is missing: give both letter-value lists, or neither"
+        )
+    if latin is not None and family is None:
+        raise SquareParseError("letter values need a 'family' to rebuild the square from")
     return SquareDocument(
         order=order,
         cells=tuple(cells),
         family=family,
-        latin_values=_letter_values(data, "latin_values", order),
-        greek_values=_letter_values(data, "greek_values", order),
+        latin_values=latin,
+        greek_values=greek,
     )
 
 
@@ -228,11 +238,11 @@ def _letter_values(data: dict, key: str, order: int) -> tuple[int, ...] | None:
 def _provenance_mismatch(doc: SquareDocument) -> str | None:
     """Where the cells differ from the square their family and letter values build.
 
-    None when the document names no family or lacks a value list, or when
-    the cells match.  A document carries no variant, so a match with any
+    None when the document carries no letter values, or when the cells
+    match.  A document carries no variant, so a match with any
     figure of the family counts.  Only evaluation runs: the report says if it is magic.
     """
-    if doc.family is None or doc.latin_values is None or doc.greek_values is None:
+    if doc.latin_values is None:
         return None
     assignment = ValueAssignment(doc.latin_values, doc.greek_values)
     built, *others = (

@@ -278,9 +278,13 @@ def solve_assignments(constraints, x: int):
 
     Enumerates the full permutation space, so x is capped at
     MAX_SOLVE_ORDER.  Output order is lexicographic over the pair
-    (latin value tuple, greek value tuple).  Each assignment is built from
-    permutations of the domains, not re-checked (ValueAssignment._trusted).
+    (latin value tuple, greek value tuple).
     """
+    return itertools.starmap(ValueAssignment, _solve_values(constraints, x))
+
+
+def _solve_values(constraints, x: int):
+    """The (latin values, greek values) tuple pairs of solve_assignments, in its order."""
     if not 1 <= x <= MAX_SOLVE_ORDER:
         raise ValueError(
             f"assignment enumeration is capped at order {MAX_SOLVE_ORDER}, got {x}"
@@ -293,7 +297,6 @@ def solve_assignments(constraints, x: int):
             )
     latin_domain = tuple(i * x for i in range(x))
     greek_domain = tuple(range(1, x + 1))
-    trusted = ValueAssignment._trusted
 
     # A pair satisfies a constraint when the latin part's contribution is
     # the exact negative of the greek part's, so bucket greek permutations
@@ -311,7 +314,7 @@ def solve_assignments(constraints, x: int):
             for constraint in constraints
         )
         for greek in buckets.get(need, ()):
-            yield trusted(latin, greek)
+            yield latin, greek
 
 
 # --- figure families -------------------------------------------------------

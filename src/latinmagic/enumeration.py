@@ -9,7 +9,7 @@ from functools import lru_cache
 from operator import add
 from typing import Iterator
 
-from .construct import diagonal_constraints, magic_figure, solve_assignments
+from .construct import _solve_values, diagonal_constraints, magic_figure
 from .model import Square, SuperposedGrid, _Record, _check_order, _rref, _shorten, magic_constant
 from .verify import _flat, _geometry, _is_magic, _picker, _unflat
 
@@ -40,10 +40,8 @@ def _canonical_flat(flat: tuple[int, ...], x: int) -> tuple[int, ...]:
     """The least of the eight images of row-major cells, as row-major cells.
 
     Every image starts with a corner, so the least image starts with the
-    least corner value, and only the images that start with a corner
-    holding it are compared: the two of that corner when one corner holds
-    it, as in every magic square, and two per corner when corners tie (all
-    eight, four times over, at order 1, whose four corners are one cell).
+    least corner value.  When one corner holds it, as in every magic
+    square, only that corner's two images are compared; otherwise all eight.
     """
     geometry = _geometry(x)
     corners = geometry.corner_picker(flat)
@@ -51,12 +49,7 @@ def _canonical_flat(flat: tuple[int, ...], x: int) -> tuple[int, ...]:
     if corners.count(least) == 1:
         first, second = geometry.corner_pickers[corners.index(least)]
         return min(first(flat), second(flat))
-    return min([
-        pick(flat)
-        for corner, picks in zip(corners, geometry.corner_pickers)
-        if corner == least
-        for pick in picks
-    ])
+    return min(pick(flat) for pick in geometry.symmetry_pickers)
 
 
 def canonicalize(square: Square) -> CanonicalSquare:
@@ -86,13 +79,12 @@ def _figure_cells(figure: SuperposedGrid, family_id: str) -> Iterator[tuple[int,
     pairs = _flat(figure.cells)
     pick_latin = lru_cache(maxsize=None)(_picker(tuple(l for l, _ in pairs)))
     pick_greek = lru_cache(maxsize=None)(_picker(tuple(g for _, g in pairs)))
-    for assignment in solve_assignments(constraints, x):
-        latin, greek = assignment.latin_values, assignment.greek_values
+    for latin, greek in _solve_values(constraints, x):
         flat = tuple(map(add, pick_latin(latin), pick_greek(greek)))
         if not is_magic(flat):
             raise AssertionError(
-                f"family {family_id} produced a non-magic square for "
-                f"{assignment}; constraint extraction is unsound"
+                f"family {family_id} produced a non-magic square for latin values "
+                f"{latin} and greek values {greek}; constraint extraction is unsound"
             )
         yield flat
 

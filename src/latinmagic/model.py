@@ -8,8 +8,7 @@ immutable values; all operations are pure.
 
 Each value type is a _Record subclass that declares its fields once, as
 annotations.  Every record's __init__ is generated from its annotations,
-and a record that checks or normalizes its fields defines _post_init;
-_trusted builds one without that check, from fields valid by construction.
+and a record that checks or normalizes its fields defines _post_init.
 The base gives equality, hashing and repr by the fields and refuses any
 assignment or deletion afterwards.
 """
@@ -36,39 +35,23 @@ class _Record:
     normalizes its fields defines _post_init(self), which that __init__
     calls last, with every field set: it raises to refuse the values, and
     writes a normalized field through self.__dict__.
-
-    Such a subclass also gets the classmethod _trusted, with the same
-    parameters and the same body but no _post_init call.  It is only for
-    code that builds the fields valid by construction and already in
-    normal form, such as the solver's permutations of the value domains;
-    every value from outside goes through __init__.
     """
 
     def __init_subclass__(cls) -> None:
         if "__init__" in cls.__dict__:
             return
         names = cls.__dict__.get("__annotations__", {})
-        # the defaults are the globals the compiled defs read them from
+        # the defaults are the globals the compiled def reads them from
         namespace = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
         params = "".join(f", {n}={n}" if n in namespace else f", {n}" for n in names)
         body = "".join(f"\n    fields[{n!r}] = {n}" for n in names)
-        source = f"def __init__(self{params}):\n    fields = self.__dict__{body}"
-        methods = ["__init__"]
         if hasattr(cls, "_post_init"):
-            # and the same body on a new instance, without the check
-            source += (
-                "\n    self._post_init()"
-                f"\ndef _trusted(cls{params}):\n    self = _new(cls)"
-                f"\n    fields = self.__dict__{body}\n    return self"
-            )
-            namespace["_new"] = object.__new__
-            methods.append("_trusted")
-        exec(source, namespace)
-        for name in methods:
-            method = namespace[name]
-            method.__qualname__ = f"{cls.__qualname__}.{name}"
-            method.__module__ = cls.__module__
-            setattr(cls, name, classmethod(method) if name == "_trusted" else method)
+            body += "\n    self._post_init()"
+        exec(f"def __init__(self{params}):\n    fields = self.__dict__{body}", namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__module__ = cls.__module__
+        cls.__init__ = init
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

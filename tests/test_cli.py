@@ -473,6 +473,30 @@ def test_verify_rejects_bad_metadata_fields(capsys, monkeypatch):
         assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize(
+    "given, missing",
+    [({"latin_values": [0, 0, 0]}, "greek_values"), ({"greek_values": [1, 3, 2]}, "latin_values")],
+)
+def test_verify_rejects_one_letter_value_list(capsys, monkeypatch, given, missing):
+    document = {"cells": LO_SHU_DOCUMENT["cells"], "family": "e3.reflect", **given}
+    code, out, err = cli(
+        capsys, "verify", stdin=json.dumps(document), monkeypatch=monkeypatch
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: '{missing}' is missing: give both letter-value lists, or neither\n"
+
+
+def test_verify_rejects_letter_values_without_a_family(capsys, monkeypatch):
+    document = {key: value for key, value in LO_SHU_DOCUMENT.items() if key != "family"}
+    for fmt in ("text", "structured"):
+        code, out, err = cli(
+            capsys, "verify", "--format", fmt, stdin=json.dumps(document),
+            monkeypatch=monkeypatch,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: letter values need a 'family' to rebuild the square from\n"
+
+
 @pytest.mark.parametrize("key", ["latin_values", "greek_values"])
 def test_verify_rejects_letter_values_on_a_fixed_square(capsys, monkeypatch, key):
     document = {

@@ -9,7 +9,6 @@ from latinmagic import (
     FAMILIES,
     FamilyCensus,
     Square,
-    ValueAssignment,
     Verdict,
     canonicalize,
     census,
@@ -160,12 +159,12 @@ def test_enumerate_first_family():
 
 
 def unsound_solver(constraints, x):
-    yield ValueAssignment((0, 6, 3), (1, 3, 2))  # the Lo Shu
-    yield ValueAssignment((0, 3, 6), (1, 2, 3))  # breaks 2γ = α+β
+    yield (0, 6, 3), (1, 3, 2)  # the Lo Shu
+    yield (0, 3, 6), (1, 2, 3)  # breaks 2γ = α+β
 
 
 def test_enumerate_audits_every_square(monkeypatch):
-    monkeypatch.setattr(enumeration, "solve_assignments", unsound_solver)
+    monkeypatch.setattr(enumeration, "_solve_values", unsound_solver)
     found = enumerate_family("e3.reflect")
     assert next(found).cells == LO_SHU_CELLS
     with pytest.raises(AssertionError, match="constraint extraction is unsound"):
@@ -199,8 +198,23 @@ def test_census_counts():
 
 
 def test_census_audits_every_square(monkeypatch):
-    monkeypatch.setattr(enumeration, "solve_assignments", unsound_solver)
+    monkeypatch.setattr(enumeration, "_solve_values", unsound_solver)
     with pytest.raises(AssertionError, match="constraint extraction is unsound"):
+        census("e3.reflect")
+
+
+def test_audit_refuses_a_pair_that_is_not_a_permutation(monkeypatch):
+    def repeating_solver(constraints, x):
+        yield (0, 3, 3), (1, 3, 2)  # latin 3 twice, 6 missing
+
+    monkeypatch.setattr(enumeration, "_solve_values", repeating_solver)
+    message = (
+        r"family e3\.reflect produced a non-magic square for latin values "
+        r"\(0, 3, 3\) and greek values \(1, 3, 2\); constraint extraction is unsound"
+    )
+    with pytest.raises(AssertionError, match=message):
+        next(enumerate_family("e3.reflect"))
+    with pytest.raises(AssertionError, match=message):
         census("e3.reflect")
 
 

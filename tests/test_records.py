@@ -353,34 +353,3 @@ def test_every_package_record_has_the_generated_initializer():
     assert set(RECORDS) <= set(records)
     for cls in records:
         assert cls.__init__.__code__.co_filename == "<string>", cls.__qualname__
-
-
-def test_trusted_builds_the_same_record_without_the_check():
-    calls = []
-
-    class Checked(_Record):
-        low: int
-        high: int = 9
-
-        def _post_init(self) -> None:
-            calls.append(self.low)
-            if self.low > self.high:
-                raise ValueError("low above high")
-
-    unchecked = Checked._trusted(1)
-    assert calls == []
-    assert unchecked == Checked(1) and hash(unchecked) == hash(Checked(1))
-    assert repr(unchecked) == repr(Checked(1))
-    assert repr(unchecked).endswith("Checked(low=1, high=9)")
-    assert Checked._trusted(5, high=4).high == 4  # the refused values pass unchecked
-    assert Checked._trusted.__qualname__.endswith("Checked._trusted")
-    with pytest.raises(AttributeError):
-        unchecked.low = 2
-
-
-def test_only_records_that_check_have_an_unchecked_constructor():
-    records = [
-        cls for cls in _Record.__subclasses__() if cls.__module__.startswith("latinmagic")
-    ]
-    for cls in records:
-        assert hasattr(cls, "_trusted") == hasattr(cls, "_post_init"), cls.__qualname__

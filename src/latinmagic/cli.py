@@ -41,7 +41,7 @@ _FORMATS = ("text", "structured")
 
 
 # CPython's default int_max_str_digits: longer integers are refused on
-# every input path, whatever the interpreter's own setting
+# every input path, so `run` can lift the interpreter's own limit
 _MAX_DIGITS = 4300
 
 
@@ -57,10 +57,7 @@ def _ascii_int(token: str) -> int:
 
 
 def _too_long(literal: str) -> bool:
-    if len(literal) <= _MAX_DIGITS:
-        return False
-    digits = literal.lstrip("+-")
-    return len(digits) > _MAX_DIGITS and _INTEGER.fullmatch(digits) is not None
+    return len(literal.lstrip("+-")) > _MAX_DIGITS and _INTEGER.fullmatch(literal) is not None
 
 
 def _too_long_error(literal: str, where: str) -> SquareParseError:
@@ -131,13 +128,11 @@ def parse_square(text: str) -> SquareDocument:
         for column, token in enumerate(tokens, start=1):
             if _too_long(token):
                 raise _too_long_error(token, f"line {lineno}, column {column}")
-            try:
-                row.append(_ascii_int(token))
-            except ValueError:
+            if not _INTEGER.fullmatch(token):
                 raise SquareParseError(
-                    f"invalid integer {_shorten(token)!r} at line {lineno}, "
-                    f"column {column}"
-                ) from None
+                    f"invalid integer {_shorten(token)!r} at line {lineno}, column {column}"
+                )
+            row.append(int(token))
         cells.append(tuple(row))
     return SquareDocument(order=order, cells=tuple(cells))
 
@@ -259,7 +254,7 @@ def _provenance_mismatch(doc: SquareDocument) -> str | None:
     )
     return (
         f"cells do not match family {doc.family} with the given letter "
-        f"values: cell ({i}, {j}) is {doc.cells[i][j]}, expected {built[i][j]}"
+        f"values: cell ({i}, {j}) is {_shorten(str(doc.cells[i][j]))}, expected {built[i][j]}"
     )
 
 
@@ -577,6 +572,9 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # the cap is the one limit: a line sum of capped cells may run longer
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         if sys.stdout is None:
             raise OSError("stdout is closed")
@@ -594,6 +592,8 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

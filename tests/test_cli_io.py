@@ -1,5 +1,6 @@
-"""Command line edges: closed standard streams, capped integer flags, formats."""
+"""Command line edges: closed standard streams, the one integer cap, formats."""
 import io
+import json
 import os
 import subprocess
 import sys
@@ -12,10 +13,11 @@ from test_cli import CHILD_ENV, GOLDEN_E3
 NINES = "9" * 5000
 
 
-def latinmagic_child(*argv, env=CHILD_ENV, close=None):
+def latinmagic_child(*argv, env=CHILD_ENV, close=None, input=None):
     """Run the CLI in a fresh interpreter, with file descriptor `close` shut."""
     return subprocess.run(
         [sys.executable, "-m", "latinmagic", *argv],
+        input=input,
         stdout=None if close == 1 else subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
@@ -220,3 +222,125 @@ def test_a_long_format_is_shortened_in_the_usage_error(capsys, monkeypatch, argv
     assert err.startswith("usage:")
     assert len(err.encode()) < limit
     assert f"argument --format: invalid choice: {SHORTENED}" in err
+
+
+def test_a_long_cell_is_shortened_in_the_provenance_error(capsys, monkeypatch):
+    document = (
+        f'{{"cells": [[{LONG}, 9, 4], [7, 5, 3], [6, 1, 8]], "family": "e3.reflect", '
+        '"latin_values": [0, 6, 3], "greek_values": [1, 3, 2]}'
+    )
+    monkeypatch.setattr("sys.stdin", io.StringIO(document))
+    assert run(["verify"]) == 1
+    out, err = capsys.readouterr()
+    assert "verdict: NotMagic\n" in out
+    assert err == (
+        "error: cells do not match family e3.reflect with the given letter values: "
+        f"cell (0, 0) is {'9' * 16}...{'9' * 16}, expected 2\n"
+    )
+
+
+# three cells at the cap in row 0, whose sum 24 * (10**4300 - 1) / 9 has 4,301 digits
+AT_CAP = ["9" * 4300, "8" * 4300, "7" * 4300]
+AT_CAP_ROWS = [AT_CAP, ["4", "5", "6"], ["1", "2", "3"]]
+AT_CAP_GRID = "".join(" ".join(row) + "\n" for row in AT_CAP_ROWS).encode()
+AT_CAP_JSON = ('{"cells": [' + ", ".join(f"[{', '.join(row)}]" for row in AT_CAP_ROWS) + "]}").encode()
+AT_CAP_ROW_SUM = "2" + "6" * 4299 + "4"
+
+
+@pytest.mark.parametrize("source", ["path", "stdin"])
+@pytest.mark.parametrize("square", [AT_CAP_GRID, AT_CAP_JSON], ids=["grid", "json"])
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_verify_reports_on_cells_at_the_cap(capsys, monkeypatch, tmp_path, source, square, fmt):
+    code, out, err = verify_bytes(capsys, monkeypatch, tmp_path, square, source, fmt)
+    assert (code, err) == (1, "")
+    if fmt == "text":
+        assert "verdict: NotMagic\n" in out
+        assert f"  row 0: sum {AT_CAP_ROW_SUM}\n" in out
+    else:
+        # str, since the test's own interpreter keeps its integer limit
+        report = json.loads(out, parse_int=str)
+        assert (report["verdict"], report["line_sums"]["row 0"]) == ("NotMagic", AT_CAP_ROW_SUM)
+
+
+@pytest.mark.parametrize("signs", ["--", "+-"])
+def test_a_long_token_with_two_signs_is_an_invalid_integer(capsys, monkeypatch, tmp_path, signs):
+    code, out, err = verify_bytes(capsys, monkeypatch, tmp_path, (signs + NINES).encode(), "stdin")
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid integer '{signs}{'9' * 14}...{'9' * 16}' at line 1, column 1\n"
+    assert len(err.encode()) < 200
+
+
+DEFAULT_LIMIT_ENV = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONINTMAXSTRDIGITS"}
+LOW_LIMIT_ENV = {**DEFAULT_LIMIT_ENV, "PYTHONINTMAXSTRDIGITS": "640"}
+THOUSAND = "9" * 1000
+
+
+def default_and_low_limit(*argv, input=None):
+    """(exit code, stdout, stderr) of a child under the default integer limit and under 640."""
+    return [
+        (child.returncode, child.stdout, child.stderr)
+        for child in (latinmagic_child(*argv, env=env, input=input) for env in (DEFAULT_LIMIT_ENV, LOW_LIMIT_ENV))
+    ]
+
+
+@pytest.mark.parametrize(
+    "square",
+    [f"{THOUSAND} 9 4\n7 5 3\n6 1 8\n".encode(), f'{{"cells": [[{THOUSAND}, 9, 4], [7, 5, 3], [6, 1, 8]]}}'.encode()],
+    ids=["grid", "json"],
+)
+def test_verify_ignores_the_interpreters_integer_limit(square):
+    default, low = default_and_low_limit("verify", input=square)
+    assert low == default
+    assert default[0] == 1 and b"verdict: NotMagic\n" in default[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "--order", THOUSAND),
+        ("gen", "--family", "e3.reflect", "--latin", f"{THOUSAND},0,3", "--greek", "1,3,2"),
+    ],
+    ids=["order", "latin"],
+)
+def test_integer_flags_ignore_the_interpreters_integer_limit(argv):
+    default, low = default_and_low_limit(*argv)
+    assert low == default
+    # the library's own message, not the flag's "expects an integer"
+    assert default[0] == 2 and b"expects" not in default[2] and b"999...999" in default[2]
+
+
+@pytest.fixture
+def low_int_limit():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code, printed",
+    [
+        (["verify"], AT_CAP_GRID.decode(), 1, "verdict: NotMagic"),
+        (["gen", "--family", "e3.reflect", "--latin", f"{THOUSAND},0,3", "--greek", "1,3,2"], "", 2,
+         f"error: latin values must be a permutation of multiples of 3 (0..6), got [{'9' * 16}...{'9' * 16}, 0, 3]"),
+    ],
+    ids=["verify", "gen"],
+)
+def test_run_restores_the_interpreters_integer_limit(capsys, monkeypatch, low_int_limit, argv, stdin, code, printed):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert run(argv) == code
+    assert sys.get_int_max_str_digits() == 640
+    assert printed in "".join(capsys.readouterr())
+
+
+def test_run_lifts_the_interpreters_limit_only_while_a_command_runs(monkeypatch, low_int_limit):
+    seen = []
+
+    def broken(args):
+        seen.append(sys.get_int_max_str_digits())
+        raise RuntimeError("broken")
+
+    monkeypatch.setattr("latinmagic.cli._cmd_families", broken)
+    with pytest.raises(RuntimeError):
+        run(["families"])
+    assert (seen, sys.get_int_max_str_digits()) == ([0], 640)

@@ -101,6 +101,20 @@ def test_diag_variant_d_structure():
     assert figure != family_figure("e4.diag", variant="c")
 
 
+def test_diag_variants_are_the_only_latin_squares_with_first_row_abcd_and_both_diagonals_complete():
+    first = (0, 1, 2, 3)
+    squares = [(first, *rest) for rest in itertools.product(itertools.permutations(first), repeat=3)]
+    complete = [
+        square for square in squares
+        if all(
+            len(set(line)) == 4
+            for line in (*zip(*square), [square[i][i] for i in range(4)], [square[i][3 - i] for i in range(4)])
+        )
+    ]
+    assert len(complete) == 2
+    assert set(complete) == {family_figure("e4.diag", variant=v).latin_component().cells for v in "cd"}
+
+
 def test_reflection_rule_generates_each_greek_component():
     for family_id, axis in REFLECTION_AXES.items():
         figure = family_figure(family_id)

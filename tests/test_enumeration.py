@@ -1,5 +1,6 @@
 """Symmetry reduction, family censuses, and the exhaustive oracle."""
 import hashlib
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -9,9 +10,11 @@ from latinmagic import (
     FAMILIES,
     FamilyCensus,
     Square,
+    SuperposedGrid,
     Verdict,
     canonicalize,
     census,
+    diagonal_constraints,
     dihedral_images,
     editor_square,
     enumerate_family,
@@ -23,6 +26,7 @@ from latinmagic import (
 from latinmagic import enumeration
 from latinmagic.enumeration import (
     _canonical_flat,
+    _figure_cells,
     _fill_order,
     _forced_cells,
     _frenicle_flats,
@@ -285,6 +289,54 @@ def test_oracle_order_four_is_the_known_set(oracle4):
     assert len(flat) == 7040
     text = "\n".join(" ".join(map(str, cells)) for cells in flat)
     assert hashlib.sha256(text.encode()).hexdigest() == ORACLE4_SHA256
+
+
+def _renamed(pairs, x):
+    """Row-major letter pairs as an order-x figure, each alphabet renamed in order of first appearance."""
+    latin, greek = {}, {}
+    named = [(latin.setdefault(l, len(latin)), greek.setdefault(g, len(greek))) for l, g in pairs]
+    return tuple(tuple(named[i * x:(i + 1) * x]) for i in range(x))
+
+
+def _by_digit_figure(squares, x):
+    """Row-major squares grouped by their digit figure: cell v is Latin letter
+    (v-1)//x with Greek letter (v-1)%x."""
+    groups = {}
+    for square in squares:
+        flat = _flat(square.cells)
+        groups.setdefault(_renamed([divmod(v - 1, x) for v in flat], x), set()).add(flat)
+    return groups
+
+
+@pytest.mark.parametrize("x, figures, found, constraint_counts", [
+    (3, 2, 8, {2: 2}),
+    (4, 394, 7040, {0: 2, 1: 10, 2: 46, 3: 80, 4: 256}),
+], ids=["order 3", "order 4"])
+def test_every_magic_square_is_a_figure_plus_letter_values(request, x, figures, found, constraint_counts):
+    # Euler's method is complete: the constraints and the solver miss no
+    # assignment of any figure, checked against the independent oracle
+    groups = _by_digit_figure(request.getfixturevalue(f"oracle{x}"), x)
+    assert (len(groups), sum(map(len, groups.values()))) == (figures, found)
+    counts = Counter()
+    for figure, group in groups.items():
+        grid = SuperposedGrid(figure)
+        counts[len(diagonal_constraints(grid))] += 1
+        made = list(_figure_cells(grid, "digit figure"))
+        assert len(made) == len(set(made))
+        assert set(made) == group
+    assert counts == constraint_counts
+
+
+PAPER_ORDER_FOUR = (("e4.diag", "c"), ("e4.diag", "d"), ("e4.rotated", "c"), ("e4.block", "c"), ("e4.interleave", "c"))
+
+
+def test_the_papers_order_four_figures_reach_184_of_880_classes(oracle4):
+    groups = _by_digit_figure(oracle4, 4)
+    figures = {_renamed(_flat(FAMILIES[f].figures[v].cells), 4) for f, v in PAPER_ORDER_FOUR}
+    assert len(figures) == 5 and figures <= groups.keys()
+    reached = set().union(*(groups[figure] for figure in figures))
+    assert len(reached) == 1344
+    assert len({_canonical_flat(flat, 4) for flat in reached}) == 184
 
 
 @pytest.mark.parametrize("x, steps", [

@@ -3,12 +3,14 @@
     PYTHONPATH=src python3 scripts/cli_transcript.py
 
 Runs each call below through `latinmagic.cli.run` in-process, from the repo
-root, with stdin an `io.StringIO` of the named file (or empty), and writes
-one JSON line per call to tests/cli_transcript.jsonl: argv, stdin, the exit
-code and the sha256 of stdout and of stderr.  Argparse words its usage
-errors differently across Python versions, so for those the line keeps
-only the first word of stderr, "usage:".  A change that alters an output on
-purpose regenerates the file and lists each changed call.
+root, with stdin the bytes of the named file (or none) under a text
+wrapper, so the CLI reads `sys.stdin.buffer` as a real call does, and
+writes one JSON line per call to tests/cli_transcript.jsonl: argv, stdin,
+the exit code and the sha256 of stdout and of stderr.  Argparse words its
+usage errors differently across Python versions, so for those the line
+keeps only the first word of stderr, "usage:".  tests/test_cli_transcript.py
+runs `record` on each line and expects the line back.  A change that alters
+an output on purpose regenerates the file and lists each changed call.
 
 The documents that `verify` reads by path from tests/transcript_inputs
 stay out of tests/data, whose files are each read once by path and once
@@ -108,10 +110,10 @@ def _sha256(text: str) -> str:
 
 def record(argv: list[str], stdin: str | None) -> dict:
     """Run one call in-process from the repo root and describe its outcome."""
-    text = "" if stdin is None else (ROOT / stdin).read_text(encoding="utf-8")
+    data = b"" if stdin is None else (ROOT / stdin).read_bytes()
     out, err = io.StringIO(), io.StringIO()
     saved_stdin, saved_cwd = sys.stdin, os.getcwd()
-    sys.stdin = io.StringIO(text)
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
     os.chdir(ROOT)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -9,7 +9,6 @@ the resulting squares.
 from .construct import (
     FAMILIES,
     MAX_SOLVE_ORDER,
-    Axis,
     ConstraintViolationError,
     Family,
     LinearConstraint,
@@ -54,6 +53,7 @@ from .model import (
     superpose,
 )
 from .verify import (
+    Axis,
     LineId,
     LineKind,
     OrthogonalityReport,

@@ -7,6 +7,7 @@ reader of stdout goes away.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -41,8 +42,21 @@ _FORMATS = ("text", "structured")
 
 
 # CPython's default int_max_str_digits: longer integers are refused on
-# every input path, so `run` can lift the interpreter's own limit
+# every input path, so the interpreter's own limit can be lifted
 _MAX_DIGITS = 4300
+
+
+def _unlimited_ints(function):
+    """function with int_max_str_digits lifted: a line sum of capped cells may run longer."""
+    @functools.wraps(function)
+    def lifted(*args, **kwargs):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return function(*args, **kwargs)
+        finally:
+            sys.set_int_max_str_digits(limit)
+    return lifted
 
 
 # int() also takes other scripts' digits, "_" separators and padding
@@ -95,6 +109,7 @@ class SquareDocument(_Record):
     greek_values: tuple[int, ...] | None = None
 
 
+@_unlimited_ints
 def parse_square(text: str) -> SquareDocument:
     """Read a square from whitespace grid text or a structured document.
 
@@ -274,6 +289,7 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False)
 
 
+@_unlimited_ints
 def render(obj, fmt: str = "text") -> str:
     """Serialize a SquareDocument, VerificationReport, or FamilyCensus."""
     if fmt not in _FORMATS:
@@ -565,6 +581,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_unlimited_ints
 def run(argv: list[str] | None = None) -> int:
     """Parse arguments and execute; returns the process exit code."""
     parser = _build_parser()
@@ -572,9 +589,6 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    # the cap is the one limit: a line sum of capped cells may run longer
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
         if sys.stdout is None:
             raise OSError("stdout is closed")
@@ -592,8 +606,6 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

@@ -8,7 +8,6 @@ the figure yields magic squares.
 from __future__ import annotations
 
 import itertools
-from enum import Enum
 
 from .model import (
     GREEK_LETTERS,
@@ -28,6 +27,7 @@ from .model import (
     superpose,
 )
 from .verify import (
+    Axis,
     OrthogonalityReport,
     _flat,
     _geometry,
@@ -37,24 +37,6 @@ from .verify import (
 )
 
 MAX_SOLVE_ORDER = 6
-
-
-class Axis(Enum):
-    """Mirror axis used to derive a Greek component from a Latin one."""
-
-    MIDDLE_COLUMN = "middle column"
-    MIDDLE_ROW = "middle row"
-    MAIN_DIAGONAL = "main diagonal"
-    ANTI_DIAGONAL = "anti diagonal"
-
-
-# each axis's position among the _geometry symmetries
-_AXIS_SYMMETRY = {
-    Axis.MIDDLE_COLUMN: 1,
-    Axis.MAIN_DIAGONAL: 3,
-    Axis.MIDDLE_ROW: 5,
-    Axis.ANTI_DIAGONAL: 7,
-}
 
 
 class MirrorConflictError(ValueError):
@@ -105,7 +87,7 @@ def reflect_greek(latin: SymbolGrid, axis: Axis) -> SymbolGrid:
     x = latin.order
     if axis in (Axis.MIDDLE_COLUMN, Axis.MIDDLE_ROW) and x % 2 == 0:
         raise ValueError(f"{axis.value} axis needs an odd order, got {x}")
-    mirror = _geometry(x).symmetries[_AXIS_SYMMETRY[axis]]
+    mirror = _geometry(x).mirrors[axis]
     flat = _flat(latin.cells)
     for k, m in enumerate(mirror):
         if k < m and flat[k] == flat[m]:

@@ -122,16 +122,9 @@ def _fill_order(x: int) -> tuple[int, ...]:
     empty cells (row-major among ties), so rows and columns close early and
     their last cells are forced.
     """
-    last = x - 1
-    order: list[int] = []
-    for i, j in (
-        (0, 0), (0, last), (last, 0), (last, last),
-        *((i, i) for i in range(x)),
-        *((i, last - i) for i in range(x)),
-    ):
-        if i * x + j not in order:
-            order.append(i * x + j)
-    lines = _geometry(x).lines
+    geometry = _geometry(x)
+    lines = geometry.lines
+    order = list(dict.fromkeys((*geometry.corners, *lines[-2], *lines[-1])))
 
     def open_cells(cell: int) -> int:
         return min(sum(c not in order for c in line) for line in lines if cell in line)
@@ -182,13 +175,13 @@ def _oracle_plan(x: int) -> tuple[tuple, ...]:
     x*x, which takes only the value 0.
     """
     n = x * x
-    last = x - 1
     order = _fill_order(x)
     step = {cell: k for k, cell in enumerate(order)}
     beyond: dict[int, list] = {cell: [] for cell in order}
     # (smaller, larger) cell pairs of the normal form: (0,0) against the
     # other three corners, then (0,1) against (1,0)
-    for small, large in [(0, last), (0, last * x), (0, n - 1), (1, x)] if x > 1 else []:
+    first, *others = _geometry(x).corners
+    for small, large in [(first, corner) for corner in others] + [(1, x)] if x > 1 else []:
         later, earlier, sign = (large, small, 1) if step[small] < step[large] else (small, large, -1)
         beyond[later].append((earlier, sign))
     steps: list = []

@@ -34,6 +34,15 @@ class LineKind(Enum):
     ANTI_DIAGONAL = "anti diagonal"
 
 
+class Axis(Enum):
+    """Mirror axis used to derive a Greek component from a Latin one."""
+
+    MIDDLE_COLUMN = "middle column"
+    MIDDLE_ROW = "middle row"
+    MAIN_DIAGONAL = "main diagonal"
+    ANTI_DIAGONAL = "anti diagonal"
+
+
 class LineId(_Record):
     """One of the 2x+2 lines of an order-x square."""
 
@@ -91,13 +100,13 @@ class _Geometry:
     line_ids: all_lines(x).
     lines: the same lines as flat indices; line_pickers read them.
     symmetries: the eight rotations and reflections in dihedral_images
-    order, each as the source cell of every image cell; the odd positions
-    are the reflections across the middle column, the main diagonal, the
-    middle row and the anti diagonal.  symmetry_pickers apply them to
-    flat cells.
-    corner_picker reads the four corners (top-left, top-right, bottom-left,
-    bottom-right); corner_pickers holds, per corner, the symmetry pickers
-    whose image starts with it: two from order 2 on, all eight at order 1.
+    order, each as the source cell of every image cell.  symmetry_pickers
+    apply them to flat cells.
+    mirrors: the reflection across each Axis, as one of the symmetries.
+    corners: the four corner cells (top-left, top-right, bottom-left,
+    bottom-right), which corner_picker reads; corner_pickers holds, per
+    corner, the symmetry pickers whose image starts with it: two from
+    order 2 on, all eight at order 1.
     is_magic: the compiled audit, built on first use.
     """
 
@@ -126,11 +135,15 @@ class _Geometry:
             current = tuple(current[k] for k in turn)
         self.symmetries = tuple(symmetries)
         self.symmetry_pickers = tuple(map(_picker, symmetries))
-        corners = (0, x - 1, x * x - x, x * x - 1)
-        self.corner_picker = _picker(corners)
+        self.mirrors = dict(zip(
+            (Axis.MIDDLE_COLUMN, Axis.MAIN_DIAGONAL, Axis.MIDDLE_ROW, Axis.ANTI_DIAGONAL),
+            symmetries[1::2],
+        ))
+        self.corners = (0, x - 1, x * x - x, x * x - 1)
+        self.corner_picker = _picker(self.corners)
         self.corner_pickers = tuple(
             tuple(pick for sym, pick in zip(symmetries, self.symmetry_pickers) if sym[0] == corner)
-            for corner in corners
+            for corner in self.corners
         )
 
     @cached_property

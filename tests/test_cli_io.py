@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from latinmagic.cli import SquareDocument, render, run
+from latinmagic import Square, verify_magic
+from latinmagic.cli import SquareDocument, SquareParseError, parse_square, render, run
 from test_cli import CHILD_ENV, GOLDEN_E3
 
 NINES = "9" * 5000
@@ -344,3 +345,27 @@ def test_run_lifts_the_interpreters_limit_only_while_a_command_runs(monkeypatch,
     with pytest.raises(RuntimeError):
         run(["families"])
     assert (seen, sys.get_int_max_str_digits()) == ([0], 640)
+
+
+def test_parse_square_ignores_the_interpreters_integer_limit(low_int_limit):
+    doc = parse_square(THOUSAND + " 1\n2 3")
+    assert (doc.order, doc.cells[0][0]) == (2, 10**1000 - 1)
+
+
+# AT_CAP_ROWS as integers, built without a string conversion the limit would refuse
+REPUNIT = (10**4300 - 1) // 9
+AT_CAP_SQUARE = Square(((9 * REPUNIT, 8 * REPUNIT, 7 * REPUNIT), (4, 5, 6), (1, 2, 3)))
+
+
+def test_render_ignores_the_interpreters_integer_limit(low_int_limit):
+    report = verify_magic(AT_CAP_SQUARE)
+    assert f"  row 0: sum {AT_CAP_ROW_SUM}\n" in render(report)
+    assert json.loads(render(report, "structured"), parse_int=str)["line_sums"]["row 0"] == AT_CAP_ROW_SUM
+
+
+def test_parse_square_restores_the_interpreters_integer_limit(low_int_limit):
+    parse_square(THOUSAND)
+    assert sys.get_int_max_str_digits() == 640
+    with pytest.raises(SquareParseError):
+        parse_square("x")
+    assert sys.get_int_max_str_digits() == 640

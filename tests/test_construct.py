@@ -15,6 +15,7 @@ from latinmagic import (
     MirrorConflictError,
     OrthogonalityError,
     Role,
+    SuperposedGrid,
     SymbolGrid,
     ValueAssignment,
     Verdict,
@@ -33,6 +34,7 @@ from latinmagic import (
     verify_orthogonality,
 )
 from latinmagic.construct import _solve_values
+from latinmagic.verify import _geometry
 from helpers import (
     CONSTRAINT_FIXTURES,
     E5_ROTATED_SUFFICIENT_SPLIT,
@@ -156,6 +158,14 @@ EXPLICIT_MIRRORS = {
     Axis.MAIN_DIAGONAL: lambda i, j, x: (j, i),
     Axis.ANTI_DIAGONAL: lambda i, j, x: (x - 1 - j, x - 1 - i),
 }
+
+
+@pytest.mark.parametrize("x", range(1, 9))
+@pytest.mark.parametrize("axis", list(Axis))
+def test_geometry_mirrors_follow_the_explicit_mirror(axis, x):
+    mirror = EXPLICIT_MIRRORS[axis]
+    expected = tuple(mi * x + mj for i in range(x) for j in range(x) for mi, mj in [mirror(i, j, x)])
+    assert _geometry(x).mirrors[axis] == expected
 
 
 @pytest.mark.parametrize("axis", list(Axis))
@@ -392,6 +402,43 @@ def constraint_systems(draw):
 @given(constraint_systems())
 def test_constraint_system_basis_matches_rational_elimination(system):
     assert constraint_system_basis(system) == reference_system_basis(system)
+
+
+ORDER_5_FIGURES = [family_figure(family_id) for family_id in ("e5.diag", "e5.rotated", "e5.center")]
+
+
+@st.composite
+def order_5_figures(draw):
+    """The 25 letter pairs in any arrangement, or an e5 figure with rows and columns permuted."""
+    if draw(st.booleans()):
+        pairs = draw(st.permutations([(l, g) for l in range(5) for g in range(5)]))
+        return SuperposedGrid(tuple(tuple(pairs[k:k + 5]) for k in range(0, 25, 5)))
+    figure = draw(st.sampled_from(ORDER_5_FIGURES))
+    rows, columns = draw(st.permutations(range(5))), draw(st.permutations(range(5)))
+    return SuperposedGrid(tuple(tuple(figure.cells[i][j] for j in columns) for i in rows))
+
+
+@settings(max_examples=8, deadline=None)
+@given(order_5_figures())
+def test_solver_finds_every_value_pair_whose_square_is_magic_at_order_5(figure):
+    # the 12 lines as (latin letter, greek letter) pairs; a line's sum is a
+    # sum of latin values plus a sum of greek values
+    lines = [list(row) for row in figure.cells]
+    lines += [list(column) for column in zip(*figure.cells)]
+    lines += [[figure.cells[i][i] for i in range(5)], [figure.cells[i][4 - i] for i in range(5)]]
+
+    def parts(values, side):
+        return [sum(values[pair[side]] for pair in line) for line in lines]
+
+    greeks = [(greek, parts(greek, 1)) for greek in itertools.permutations(range(1, 6))]
+    expected = []
+    for latin in itertools.permutations(range(0, 25, 5)):
+        latin_parts = parts(latin, 0)
+        expected += [
+            (latin, greek) for greek, greek_parts in greeks
+            if all(l + g == 65 for l, g in zip(latin_parts, greek_parts))
+        ]
+    assert list(_solve_values(diagonal_constraints(figure), 5)) == expected
 
 
 def test_constraint_system_basis_of_figures_matches_rational_elimination():

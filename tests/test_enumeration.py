@@ -452,6 +452,17 @@ def test_oracle_plan_reads_only_placed_cells(x):
     assert placed == spare + list(_fill_order(x))
 
 
+# sha256 of repr([_oracle_plan(x) for x in range(1, 9)]): a refactor of the
+# fill order, the forced-cell rules or the normal form that changes the
+# oracle's search changes it
+ORACLE_PLAN_SHA256 = "5bdcac80c499d4d09f1f19e05f560ee607e5f87958962047a9eae7e13ede01ce"
+
+
+def test_oracle_plan_is_pinned():
+    plans = repr([_oracle_plan(x) for x in range(1, 9)])
+    assert hashlib.sha256(plans.encode()).hexdigest() == ORACLE_PLAN_SHA256
+
+
 @pytest.mark.parametrize("rules", [
     [None, (2, 5, ()), (2, 7, ()), (2, 8, ())],
     [(2, 3, ()), (2, 5, ()), (2, 7, ()), (2, 8, ())],

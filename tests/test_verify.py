@@ -340,6 +340,12 @@ def test_integer_audit_matches_the_magic_verdict_at_orders_7_and_8(square):
     )
 
 
+@pytest.mark.parametrize("x", range(1, 9))
+def test_geometry_corners_are_the_corner_cells(x):
+    last = x - 1
+    assert _geometry(x).corners == tuple(i * x + j for i, j in ((0, 0), (0, last), (last, 0), (last, last)))
+
+
 def test_verify_magic_leaves_the_compiled_audit_unbuilt():
     x = 60
     square = Square(_doubly_even(x))

@@ -8,12 +8,11 @@ diagonal.
 """
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .model import (
     Role,
@@ -179,6 +178,14 @@ def _unflat(flat: tuple[int, ...], x: int) -> tuple[tuple[int, ...], ...]:
     return tuple(flat[k:k + x] for k in range(0, x * x, x))
 
 
+def _repeats(keyed: Iterable[tuple]) -> tuple[tuple, ...]:
+    """Every key held at two or more positions, as (key, positions), in key order."""
+    places: dict = {}
+    for key, position in keyed:
+        places.setdefault(key, []).append(position)
+    return tuple((key, tuple(at)) for key, at in sorted(places.items()) if len(at) > 1)
+
+
 def line_sums(square: Square) -> dict[LineId, int]:
     """Sum of every line of the square, keyed by line."""
     geometry = _geometry(square.order)
@@ -213,16 +220,7 @@ def verify_magic(square: Square) -> VerificationReport:
 
     flat = _flat(square.cells)
     bijection_ok = sorted(flat) == list(range(1, x * x + 1))
-    duplicates: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = ()
-    if not bijection_ok:
-        positions: dict[int, list[tuple[int, int]]] = {}
-        for k, value in enumerate(flat):
-            positions.setdefault(value, []).append(divmod(k, x))
-        duplicates = tuple(
-            (value, tuple(places))
-            for value, places in sorted(positions.items())
-            if len(places) > 1
-        )
+    duplicates = () if bijection_ok else _repeats((v, divmod(k, x)) for k, v in enumerate(flat))
 
     if bijection_ok and not violations:
         verdict = Verdict.MAGIC
@@ -271,10 +269,8 @@ def verify_latin(grid: SymbolGrid, include_diagonals: bool = False) -> RepeatRep
     audited = len(geometry.lines) if include_diagonals else 2 * grid.order
     repeats: list[tuple[LineId, SymbolId, int]] = []
     for line, indices in zip(geometry.line_ids[:audited], geometry.lines):
-        counts = Counter(flat[k] for k in indices)
-        for index in sorted(counts):
-            if counts[index] >= 2:
-                repeats.append((line, SymbolId(grid.role, index), counts[index]))
+        for index, places in _repeats((flat[k], k) for k in indices):
+            repeats.append((line, SymbolId(grid.role, index), len(places)))
     return RepeatReport(ok=not repeats, repeats=tuple(repeats))
 
 
@@ -291,15 +287,9 @@ class OrthogonalityReport(_Record):
 def verify_orthogonality(pairs: SuperposedGrid) -> OrthogonalityReport:
     """Check pair uniqueness; duplicates come with their cell positions."""
     x = pairs.order
-    seen: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, row in enumerate(pairs.cells):
-        for j, pair in enumerate(row):
-            seen.setdefault(tuple(pair), []).append((i, j))
-    duplicates = tuple(
-        (pair, tuple(places))
-        for pair, places in sorted(seen.items())
-        if len(places) > 1
-    )
+    flat = tuple(tuple(pair) for row in pairs.cells for pair in row)
+    duplicates = _repeats((pair, divmod(k, x)) for k, pair in enumerate(flat))
+    seen = set(flat)
     missing = tuple(
         (l, g)
         for l in range(x)

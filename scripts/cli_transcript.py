@@ -9,8 +9,11 @@ writes one JSON line per call to tests/cli_transcript.jsonl: argv, stdin,
 the exit code and the sha256 of stdout and of stderr.  Argparse words its
 usage errors differently across Python versions, so for those the line
 keeps only the first word of stderr, "usage:".  tests/test_cli_transcript.py
-runs `record` on each line and expects the line back.  A change that alters
-an output on purpose regenerates the file and lists each changed call.
+runs `record` on each line and expects the line back, and
+scripts/replay_transcript.py runs each call through the installed
+`latinmagic` script and builds its line with the same `outcome`.  A change
+that alters an output on purpose regenerates the file and lists each
+changed call.
 
 The documents that `verify` reads by path from tests/transcript_inputs
 stay out of tests/data, whose files are each read once by path and once
@@ -104,13 +107,26 @@ def calls() -> list[tuple[list[str], str | None]]:
     return listed + [(argv, None) for argv in usage_errors]
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def outcome(argv: list[str], stdin: str | None, code: int, out: bytes, err: bytes) -> dict:
+    """The transcript line of one call, from its exit code and output bytes."""
+    usage = code == 2 and err.startswith(USAGE.encode())
+    return {
+        "argv": argv,
+        "stdin": stdin,
+        "code": code,
+        "stdout": hashlib.sha256(out).hexdigest(),
+        "stderr": USAGE if usage else hashlib.sha256(err).hexdigest(),
+    }
+
+
+def stdin_bytes(stdin: str | None) -> bytes:
+    """The bytes a call reads on stdin: the named file's, or none."""
+    return b"" if stdin is None else (ROOT / stdin).read_bytes()
 
 
 def record(argv: list[str], stdin: str | None) -> dict:
     """Run one call in-process from the repo root and describe its outcome."""
-    data = b"" if stdin is None else (ROOT / stdin).read_bytes()
+    data = stdin_bytes(stdin)
     out, err = io.StringIO(), io.StringIO()
     saved_stdin, saved_cwd = sys.stdin, os.getcwd()
     sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
@@ -121,15 +137,7 @@ def record(argv: list[str], stdin: str | None) -> dict:
     finally:
         sys.stdin = saved_stdin
         os.chdir(saved_cwd)
-    err_text = err.getvalue()
-    usage = code == 2 and err_text.startswith(USAGE)
-    return {
-        "argv": argv,
-        "stdin": stdin,
-        "code": code,
-        "stdout": _sha256(out.getvalue()),
-        "stderr": USAGE if usage else _sha256(err_text),
-    }
+    return outcome(argv, stdin, code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8"))
 
 
 def main() -> int:

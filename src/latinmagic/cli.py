@@ -236,6 +236,9 @@ def _letter_values(data: dict, key: str, order: int) -> tuple[int, ...] | None:
     if key not in data:
         return None
     values = data[key]
+    for k, value in enumerate(values if isinstance(values, list) else ()):
+        if isinstance(value, _LongInteger):
+            raise _too_long_error(value.literal, f"'{key}' value {k}")
     if not isinstance(values, list) or any(type(v) is not int for v in values):
         raise SquareParseError(f"'{key}' must be a list of integers")
     if len(values) != order:

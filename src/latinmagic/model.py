@@ -205,6 +205,10 @@ class ValueAssignment(_Record):
             )
         if x == 0:
             raise ValueError("value assignment must cover at least one letter")
+        for side, values in (("latin", latin), ("greek", greek)):
+            for k, v in enumerate(values):
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise ValueError(f"{side} value {k} is not an integer: {_shorten(repr(v))}")
         if sorted(latin) != list(range(0, x * x, x)):
             raise ValueError(
                 f"latin values must be a permutation of multiples of {x} "

@@ -271,6 +271,24 @@ def test_a_long_token_with_two_signs_is_an_invalid_integer(capsys, monkeypatch, 
     assert len(err.encode()) < 200
 
 
+@pytest.mark.parametrize("source", ["path", "stdin"])
+@pytest.mark.parametrize("key", ["latin_values", "greek_values"])
+def test_a_long_letter_value_is_named_with_its_place(capsys, monkeypatch, tmp_path, source, key):
+    lists = {"latin_values": "[0, 6, 3]", "greek_values": "[1, 3, 2]"}
+    lists[key] = f"[1, {'9' * 4301}, 2]"
+    document = (
+        '{"cells": [[2, 9, 4], [7, 5, 3], [6, 1, 8]], "family": "e3.reflect", '
+        + ", ".join(f'"{name}": {values}' for name, values in lists.items())
+        + "}"
+    ).encode()
+    code, out, err = verify_bytes(capsys, monkeypatch, tmp_path, document, source)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: integer at '{key}' value 1 has 4301 digits, more than 4300: "
+        f"{'9' * 16}...{'9' * 16}\n"
+    )
+
+
 DEFAULT_LIMIT_ENV = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONINTMAXSTRDIGITS"}
 LOW_LIMIT_ENV = {**DEFAULT_LIMIT_ENV, "PYTHONINTMAXSTRDIGITS": "640"}
 THOUSAND = "9" * 1000

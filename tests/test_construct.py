@@ -151,6 +151,16 @@ def test_reflect_greek_rejects_greek_input():
         reflect_greek(greek, Axis.MIDDLE_COLUMN)
 
 
+def test_reflect_greek_rejects_an_axis_given_by_name():
+    latin = letter_grid(Role.LATIN, LATIN_3)
+    with pytest.raises(ValueError) as info:
+        reflect_greek(latin, "middle column")
+    assert str(info.value) == (
+        "axis must be one of Axis.MIDDLE_COLUMN, Axis.MIDDLE_ROW, "
+        "Axis.MAIN_DIAGONAL, Axis.ANTI_DIAGONAL, got 'middle column'"
+    )
+
+
 # where each axis sends cell (i, j) of an order-x grid
 EXPLICIT_MIRRORS = {
     Axis.MIDDLE_COLUMN: lambda i, j, x: (i, x - 1 - j),

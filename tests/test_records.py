@@ -246,6 +246,18 @@ def test_records_refuse_assignment_and_deletion(cls):
             "value assignment must cover at least one letter",
         ),
         (
+            lambda: ValueAssignment(("a", 0, 3), (1, 2, 3)),
+            "latin value 0 is not an integer: 'a'",
+        ),
+        (
+            lambda: ValueAssignment((0.0, 3, 6), (1, 2, 3)),
+            "latin value 0 is not an integer: 0.0",
+        ),
+        (
+            lambda: ValueAssignment((0, 3, 6), (True, 2, 3)),
+            "greek value 0 is not an integer: True",
+        ),
+        (
             lambda: ValueAssignment((0, 1), (1, 2)),
             "latin values must be a permutation of multiples of 2 (0..2), got [0, 1]",
         ),

@@ -1,4 +1,6 @@
 """Audits: line sums, magic verdicts, letter repeats, pair uniqueness."""
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,8 +8,12 @@ from hypothesis import strategies as st
 from latinmagic import (
     LineId,
     LineKind,
+    OrthogonalityReport,
+    RepeatReport,
     Role,
     Square,
+    SuperposedGrid,
+    SymbolGrid,
     SymbolId,
     ValueAssignment,
     Verdict,
@@ -359,3 +365,82 @@ def test_row_shuffled_magic_square_is_semi_magic():
     semi = Square(LO_SHU.cells[1:] + LO_SHU.cells[:1])
     assert reference_verify_magic(semi).verdict is Verdict.SEMI_MAGIC
     assert verify_magic(semi) == reference_verify_magic(semi)
+
+
+def _index_cells(x, indices):
+    """An order-x grid of the given letter indices, row by row."""
+    return st.lists(indices, min_size=x * x, max_size=x * x).map(
+        lambda flat: tuple(tuple(flat[i * x:(i + 1) * x]) for i in range(x))
+    )
+
+
+FIGURE_GRIDS = [pair_grid(text) for text in FIGURES.values()]
+
+
+def letter_grids():
+    """Letter grids of orders 1-6 with indices in 0..x-1, so that repeats are
+    common, and the components of the transcribed figures."""
+    drawn = st.integers(1, 6).flatmap(
+        lambda x: st.tuples(st.sampled_from(Role), _index_cells(x, st.integers(0, x - 1)))
+    ).map(lambda t: SymbolGrid(*t))
+    figures = st.sampled_from(
+        [grid.latin_component() for grid in FIGURE_GRIDS]
+        + [grid.greek_component() for grid in FIGURE_GRIDS]
+    )
+    return st.one_of(drawn, figures)
+
+
+def pair_grids():
+    """Pair grids of orders 1-6 with indices in 0..x-1, and the transcribed figures."""
+    drawn = st.integers(1, 6).flatmap(
+        lambda x: _index_cells(x, st.tuples(st.integers(0, x - 1), st.integers(0, x - 1)))
+    ).map(SuperposedGrid)
+    return st.one_of(drawn, st.sampled_from(FIGURE_GRIDS))
+
+
+def reference_verify_latin(grid, include_diagonals):
+    """verify_latin the direct way: each line's cells listed by hand and counted."""
+    x, cells = grid.order, grid.cells
+    lines = [(LineId(LineKind.ROW, i), [cells[i][j] for j in range(x)]) for i in range(x)]
+    lines += [(LineId(LineKind.COLUMN, j), [cells[i][j] for i in range(x)]) for j in range(x)]
+    if include_diagonals:
+        lines.append((LineId(LineKind.MAIN_DIAGONAL), [cells[i][i] for i in range(x)]))
+        lines.append((LineId(LineKind.ANTI_DIAGONAL), [cells[i][x - 1 - i] for i in range(x)]))
+    repeats = []
+    for line, symbols in lines:
+        counts = Counter(symbols)
+        for index in sorted(counts):
+            if counts[index] >= 2:
+                repeats.append((line, SymbolId(grid.role, index), counts[index]))
+    return RepeatReport(ok=not repeats, repeats=tuple(repeats))
+
+
+def reference_verify_orthogonality(pairs):
+    """verify_orthogonality the direct way: every pair in order, looked up in
+    every cell in row-major order."""
+    x = pairs.order
+    duplicates, missing = [], []
+    for l in range(x):
+        for g in range(x):
+            places = tuple(
+                (i, j) for i in range(x) for j in range(x) if tuple(pairs.cells[i][j]) == (l, g)
+            )
+            if len(places) > 1:
+                duplicates.append(((l, g), places))
+            if not places:
+                missing.append((l, g))
+    return OrthogonalityReport(
+        ok=not duplicates and not missing,
+        duplicate_pairs=tuple(duplicates),
+        missing_pairs=tuple(missing),
+    )
+
+
+@given(letter_grids(), st.booleans())
+def test_verify_latin_matches_reference(grid, include_diagonals):
+    assert verify_latin(grid, include_diagonals) == reference_verify_latin(grid, include_diagonals)
+
+
+@given(pair_grids())
+def test_verify_orthogonality_matches_reference(pairs):
+    assert verify_orthogonality(pairs) == reference_verify_orthogonality(pairs)

@@ -63,22 +63,16 @@ def _unlimited_ints(function):
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-def _ascii_int(token: str) -> int:
-    """An ASCII decimal integer of at most _MAX_DIGITS digits, or ValueError."""
-    if not _INTEGER.fullmatch(token) or _too_long(token):
-        raise ValueError(token)
-    return int(token)
-
-
-def _too_long(literal: str) -> bool:
-    return len(literal.lstrip("+-")) > _MAX_DIGITS and _INTEGER.fullmatch(literal) is not None
-
-
-def _too_long_error(literal: str, where: str) -> SquareParseError:
-    return SquareParseError(
-        f"integer at {where} has {len(literal.lstrip('+-'))} digits, more "
-        f"than {_MAX_DIGITS}: {_shorten(literal)}"
-    )
+def _integer(literal: str, where: str) -> int:
+    """An ASCII decimal integer of at most _MAX_DIGITS digits, or SquareParseError naming where."""
+    if not _INTEGER.fullmatch(literal):
+        raise SquareParseError(f"invalid integer {_shorten(literal)!r} at {where}")
+    digits = len(literal.lstrip("+-"))
+    if digits > _MAX_DIGITS:
+        raise SquareParseError(
+            f"integer at {where} has {digits} digits, more than {_MAX_DIGITS}: {_shorten(literal)}"
+        )
+    return int(literal)
 
 
 class _LongInteger:
@@ -96,7 +90,11 @@ class _LongInteger:
 
 
 def _json_integer(literal: str) -> int | _LongInteger:
-    return _LongInteger(literal) if _too_long(literal) else int(literal)
+    # a JSON literal always matches _INTEGER, so only the cap can refuse it
+    try:
+        return _integer(literal, "")
+    except SquareParseError:
+        return _LongInteger(literal)
 
 
 class SquareDocument(_Record):
@@ -141,13 +139,7 @@ def parse_square(text: str) -> SquareDocument:
     for lineno, tokens in rows:
         row = []
         for column, token in enumerate(tokens, start=1):
-            if _too_long(token):
-                raise _too_long_error(token, f"line {lineno}, column {column}")
-            if not _INTEGER.fullmatch(token):
-                raise SquareParseError(
-                    f"invalid integer {_shorten(token)!r} at line {lineno}, column {column}"
-                )
-            row.append(int(token))
+            row.append(_integer(token, f"line {lineno}, column {column}"))
         cells.append(tuple(row))
     return SquareDocument(order=order, cells=tuple(cells))
 
@@ -174,7 +166,7 @@ def _parse_structured(text: str) -> SquareDocument:
             raise SquareParseError(f"'cells' row {i} is not a list")
         for j, value in enumerate(row):
             if isinstance(value, _LongInteger):
-                raise _too_long_error(value.literal, f"cell ({i}, {j})")
+                _integer(value.literal, f"cell ({i}, {j})")
             if type(value) is not int:
                 raise SquareParseError(
                     f"cell ({i}, {j}) is not an integer: {_shorten(repr(value))}"
@@ -238,7 +230,7 @@ def _letter_values(data: dict, key: str, order: int) -> tuple[int, ...] | None:
     values = data[key]
     for k, value in enumerate(values if isinstance(values, list) else ()):
         if isinstance(value, _LongInteger):
-            raise _too_long_error(value.literal, f"'{key}' value {k}")
+            _integer(value.literal, f"'{key}' value {k}")
     if not isinstance(values, list) or any(type(v) is not int for v in values):
         raise SquareParseError(f"'{key}' must be a list of integers")
     if len(values) != order:
@@ -394,7 +386,7 @@ def _read_input(path: str) -> str:
 
 def _csv_ints(text: str, flag: str) -> tuple[int, ...]:
     try:
-        return tuple(_ascii_int(part.strip()) for part in text.split(","))
+        return tuple(_integer(part.strip(), flag) for part in text.split(","))
     except ValueError:
         raise ValueError(
             f"{flag} expects comma-separated integers, got {_shorten(repr(text))}"
@@ -521,7 +513,7 @@ def _cmd_constraints(args) -> int:
 
 def _cmd_oracle(args) -> int:
     try:
-        order = _ascii_int(args.order)
+        order = _integer(args.order, "--order")
     except ValueError:
         raise ValueError(f"--order expects an integer, got {_shorten(repr(args.order))}") from None
     flats = _oracle_flats(order)

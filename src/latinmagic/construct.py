@@ -20,6 +20,7 @@ from .model import (
     ValueAssignment,
     _primitive,
     _Record,
+    _check_member,
     _reduce,
     _rref,
     _shorten,
@@ -82,9 +83,7 @@ def reflect_greek(latin: SymbolGrid, axis: Axis) -> SymbolGrid:
     off-axis mirror pair to hold two different Latin letters, otherwise the
     superposed figure would repeat a doubled pair.
     """
-    if not isinstance(axis, Axis):
-        known = ", ".join(f"Axis.{a.name}" for a in Axis)
-        raise ValueError(f"axis must be one of {known}, got {_shorten(repr(axis))}")
+    _check_member(axis, Axis, "axis")
     if latin.role is not Role.LATIN:
         raise ValueError("reflect_greek expects a latin component")
     x = latin.order

@@ -88,6 +88,7 @@ class SymbolId(_Record):
     index: int
 
     def _post_init(self) -> None:
+        _check_member(self.role, Role, "role")
         if self.index < 0:
             raise ValueError(f"symbol index must be >= 0, got {self.index}")
 
@@ -104,6 +105,12 @@ class SymbolId(_Record):
 
 def _shorten(token: str) -> str:
     return token if len(token) <= 40 else f"{token[:16]}...{token[-16:]}"
+
+
+def _check_member(value, enum: type[Enum], what: str) -> None:
+    if not isinstance(value, enum):
+        known = ", ".join(f"{enum.__name__}.{m.name}" for m in enum)
+        raise ValueError(f"{what} must be one of {known}, got {_shorten(repr(value))}")
 
 
 def _shown(values) -> str:
@@ -143,6 +150,7 @@ class SymbolGrid(_Record):
     cells: tuple[tuple[int, ...], ...]
 
     def _post_init(self) -> None:
+        _check_member(self.role, Role, "role")
         order = _check_square(self.cells, "symbol grid")
         for i, row in enumerate(self.cells):
             for j, idx in enumerate(row):
@@ -246,6 +254,8 @@ class Square(_Record):
 
 
 def _check_order(x: int) -> None:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"order must be an integer, got {_shorten(repr(x))}")
     if x < 1:
         raise ValueError(f"order must be >= 1, got {_shorten(str(x))}")
 

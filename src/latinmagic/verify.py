@@ -21,6 +21,7 @@ from .model import (
     SymbolGrid,
     SymbolId,
     _Record,
+    _check_member,
     _check_order,
     magic_constant,
 )
@@ -47,6 +48,9 @@ class LineId(_Record):
 
     kind: LineKind
     index: int = 0
+
+    def _post_init(self) -> None:
+        _check_member(self.kind, LineKind, "kind")
 
     def __str__(self) -> str:
         if self.kind in (LineKind.ROW, LineKind.COLUMN):

@@ -2,13 +2,16 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latinmagic import Square, verify_magic
-from latinmagic.cli import SquareDocument, SquareParseError, parse_square, render, run
+from latinmagic.cli import SquareDocument, SquareParseError, _integer, parse_square, render, run
 from test_cli import CHILD_ENV, GOLDEN_E3
 
 NINES = "9" * 5000
@@ -287,6 +290,54 @@ def test_a_long_letter_value_is_named_with_its_place(capsys, monkeypatch, tmp_pa
         f"error: integer at '{key}' value 1 has 4301 digits, more than 4300: "
         f"{'9' * 16}...{'9' * 16}\n"
     )
+
+
+OVER_CAP = "9" * 4301
+
+
+@pytest.mark.parametrize(
+    "square, where",
+    [
+        (f"1 2\n3 {OVER_CAP}\n", "line 2, column 2"),
+        (f'{{"cells": [[1, 2], [3, {OVER_CAP}]]}}', "cell (1, 1)"),
+    ],
+    ids=["grid", "json"],
+)
+def test_one_digit_over_the_cap_is_refused_with_its_place(capsys, monkeypatch, tmp_path, square, where):
+    code, out, err = verify_bytes(capsys, monkeypatch, tmp_path, square.encode(), "stdin")
+    assert (code, out) == (2, "")
+    assert err == f"error: integer at {where} has 4301 digits, more than 4300: {'9' * 16}...{'9' * 16}\n"
+
+
+# int() would also read the other scripts' digits, "_" and the padding
+TOKEN_CHARS = "0123456789\u0668\uff18_+- "
+# any mix of those, or a head, a run of ASCII digits (short, or 4,299 to
+# 4,302 long) and a tail
+TOKENS = st.text(TOKEN_CHARS, max_size=12) | st.builds(
+    lambda head, digits, tail: head + digits + tail,
+    st.sampled_from(["", "+", "-", "--", "+-", " ", "_", "\u0668"]),
+    st.text("0123456789", min_size=1, max_size=6)
+    | st.builds(lambda digit, count: digit * count, st.sampled_from("059"), st.integers(4299, 4302)),
+    st.text(TOKEN_CHARS, max_size=2),
+)
+
+
+@settings(deadline=None)
+@given(TOKENS, st.sampled_from(["line 3, column 2", "cell (0, 1)", "--order"]))
+@example("+" + "9" * 4300, "--order")
+@example("-" + "9" * 4301, "cell (0, 1)")
+def test_integer_matches_reference(token, where):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # int() reads up to 4,300 digits under any PYTHONINTMAXSTRDIGITS
+    try:
+        if re.fullmatch(r"[+-]?[0-9]+", token) and len(token.lstrip("+-")) <= 4300:
+            assert _integer(token, where) == int(token)
+        else:
+            with pytest.raises(SquareParseError) as info:
+                _integer(token, where)
+            assert where in str(info.value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 DEFAULT_LIMIT_ENV = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONINTMAXSTRDIGITS"}

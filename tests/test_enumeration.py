@@ -339,6 +339,26 @@ def test_the_papers_order_four_figures_reach_184_of_880_classes(oracle4):
     assert len({_canonical_flat(flat, 4) for flat in reached}) == 184
 
 
+def _is_latin_figure(figure):
+    """Whether each alphabet of a figure holds every letter once in every row and column."""
+    x = len(figure)
+    return all(len({pair[k] for pair in line}) == x for line in (*figure, *zip(*figure)) for k in (0, 1))
+
+
+def test_the_papers_order_four_figures_reach_152_of_192_digit_latin_classes(oracle4):
+    # the squares whose digit grids (v-1)//4 and (v-1)%4 are both Latin
+    latin = {figure: group for figure, group in _by_digit_figure(oracle4, 4).items() if _is_latin_figure(figure)}
+    assert (len(latin), sum(map(len, latin.values()))) == (8, 1536)
+    assert len({_canonical_flat(flat, 4) for group in latin.values() for flat in group}) == 192
+    reached = {
+        (f, v): {_canonical_flat(flat, 4) for flat in latin.get(_renamed(_flat(FAMILIES[f].figures[v].cells), 4), ())}
+        for f, v in PAPER_ORDER_FOUR
+    }
+    assert [len(classes) for classes in reached.values()] == [144, 144, 8, 0, 0]
+    assert reached["e4.diag", "c"] == reached["e4.diag", "d"]
+    assert len(set().union(*reached.values())) == 152
+
+
 @pytest.mark.parametrize("x, steps", [
     (1, [0]),
     (2, [0, 1, 2, 3]),

@@ -22,6 +22,9 @@ from latinmagic import (
     ValueAssignment,
     Verdict,
     VerificationReport,
+    all_lines,
+    line_positions,
+    magic_constant,
     verify_magic,
 )
 from latinmagic.cli import SquareDocument
@@ -290,6 +293,22 @@ def test_records_refuse_assignment_and_deletion(cls):
             lambda: LinearConstraint((0, 0), (0, 0)),
             "constraint must have a nonzero coefficient",
         ),
+        (
+            lambda: line_positions(LineId("row", 0), 3),
+            "kind must be one of LineKind.ROW, LineKind.COLUMN, "
+            "LineKind.MAIN_DIAGONAL, LineKind.ANTI_DIAGONAL, got 'row'",
+        ),
+        (
+            lambda: SymbolId("latin", 0).letter,
+            "role must be one of Role.LATIN, Role.GREEK, got 'latin'",
+        ),
+        (
+            lambda: SymbolGrid("latin", ((0,),)),
+            "role must be one of Role.LATIN, Role.GREEK, got 'latin'",
+        ),
+        (lambda: magic_constant(2.5), "order must be an integer, got 2.5"),
+        (lambda: magic_constant(True), "order must be an integer, got True"),
+        (lambda: all_lines(2.0), "order must be an integer, got 2.0"),
     ],
 )
 def test_validation_messages(make, message):

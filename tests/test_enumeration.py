@@ -483,6 +483,17 @@ def test_oracle_plan_is_pinned():
     assert hashlib.sha256(plans.encode()).hexdigest() == ORACLE_PLAN_SHA256
 
 
+# sha256 of repr([_frenicle_flats(x) for x in range(1, 5)]): the forms in the
+# order the search finds them, which ORACLE_LISTING_DIGESTS (sorted by
+# canonical key) does not see
+FRENICLE_ORDER_SHA256 = "96c10e95b7438c5d58b48d7d8eeeacb1fb7ee9f21c3a455afc52eef107bd9b8b"
+
+
+def test_oracle_search_order_is_pinned():
+    forms = repr([_frenicle_flats(x) for x in range(1, 5)])
+    assert hashlib.sha256(forms.encode()).hexdigest() == FRENICLE_ORDER_SHA256
+
+
 @pytest.mark.parametrize("rules", [
     [None, (2, 5, ()), (2, 7, ()), (2, 8, ())],
     [(2, 3, ()), (2, 5, ()), (2, 7, ()), (2, 8, ())],

@@ -199,58 +199,81 @@ def _oracle_plan(x: int) -> tuple[tuple, ...]:
     return tuple((cell, b, tuple(chain)) for cell, b, chain in steps)
 
 
-def _frenicle_flats(x: int) -> list[tuple[int, ...]]:
-    """The Frénicle normal forms as row-major cells; see oracle_search."""
+def _times(coef: int, var: str) -> str:
+    """coef * var as a term of a sum of generated source, sign first."""
+    size = "" if abs(coef) == 1 else f"{abs(coef)} * "
+    return f"{'-' if coef < 0 else '+'} {size}{var}"
+
+
+def _oracle_source(x: int) -> str:
+    """The oracle's search as the source of search(found): one for loop per free step.
+
+    Cell c's value is the local gc, the values used once step k has placed
+    its cells are the bits of uk, and a chained cell c's base (its rule
+    without the step's free value v) is bc, computed on entering the step.
+    v's loop runs over the range that its normal-form comparisons and its
+    chain's bounds allow.  Each chained value is base + coef*v, divided by
+    den when den is not 1; a remainder, a used value or a broken comparison
+    skips to the next v.  The innermost body passes the row-major cells to
+    found.  Python allows 20 nested loops, so the source compiles up to
+    order 5 (13 free cells).
+    """
     n = x * x
     steps = _oracle_plan(x)
-    grid = [0] * (n + 1)  # the last is the spare cell
+    lines = ["def search(found):"]
+    used = "0"
+    for k, (cell, beyond, chain) in enumerate(steps):
+        pad = "    " * (k + 1)
+        lows, highs = ([1], [n]) if cell < n else ([0], [0])
+        for c, s in beyond:
+            if s > 0:
+                lows.append(f"g{c} + 1")
+            else:
+                highs.append(f"g{c} - 1")
+        # each chained value is (base + coef*v) / den: keep den <= base + coef*v <= den*n
+        for w, den, const, terms, coef, _ in chain:
+            lines.append(f"{pad}b{w} = {' '.join([str(const), *(_times(c, f'g{t}') for c, t in terms)])}")
+            p, q = (den, den * n) if coef > 0 else (den * n, den)
+            if coef in (1, -1):  # the two bounds below, with the division folded
+                lows.append(f"{p} - b{w}" if coef > 0 else f"b{w} - {p}")
+                highs.append(f"{q} - b{w}" if coef > 0 else f"b{w} - {q}")
+            elif coef:
+                lows.append(f"-((b{w} - {p}) // {coef})")
+                highs.append(f"({q} - b{w}) // {coef}")
+            else:
+                lines.append(f"{pad}if not {den} <= b{w} <= {den * n}: {'continue' if k else 'return'}")
+        low = f"max({', '.join(map(str, lows))})" if len(lows) > 1 else lows[0]
+        high = f"min({', '.join(map(str, highs))})" if len(highs) > 1 else highs[0]
+        lines.append(f"{pad}for g{cell} in range({low}, {high} + 1):")
+        pad += "    "
+        mask = f"u{k}"
+        lines += [f"{pad}if {used} >> g{cell} & 1: continue", f"{pad}{mask} = {used} | 1 << g{cell}"]
+        for w, den, _, _, coef, w_beyond in chain:
+            num = f"b{w} {_times(coef, f'g{cell}')}" if coef else f"b{w}"
+            rejects = [f"{mask} >> g{w} & 1", *(f"g{w} {'<=' if s > 0 else '>='} g{c}" for c, s in w_beyond)]
+            if den == 1:
+                lines.append(f"{pad}g{w} = {num}")
+            else:
+                lines.append(f"{pad}g{w}, r = divmod({num}, {den})")
+                rejects.insert(0, "r")
+            lines += [f"{pad}if {' or '.join(rejects)}: continue", f"{pad}{mask} |= 1 << g{w}"]
+        used = mask
+    lines.append(f"{'    ' * (len(steps) + 1)}found(({''.join(f'g{c}, ' for c in range(n))}))")
+    return "\n".join(lines) + "\n"
+
+
+def _frenicle_flats(x: int) -> list[tuple[int, ...]]:
+    """The Frénicle normal forms as row-major cells; see oracle_search."""
     flats: list[tuple[int, ...]] = []
 
-    def fill(k: int, used: int) -> None:
-        """Fill the free steps from k on; bit v of used is set once v is placed."""
-        if k == len(steps):
-            flat = tuple(grid[:n])
-            if not _is_magic(flat, x):
-                raise AssertionError(f"oracle found non-magic {flat}; forced-cell rules are unsound")
-            flats.append(flat)
-            return
-        cell, beyond, chain = steps[k]
-        lo, hi = (1, n) if cell < n else (0, 0)
-        for c, s in beyond:
-            lo, hi = (max(lo, grid[c] + 1), hi) if s > 0 else (lo, min(hi, grid[c] - 1))
-        # each chained value is (base + coef*v) / den: keep den <= base + coef*v <= den*n
-        links = []
-        for w, den, base, terms, coef, w_beyond in chain:
-            for c, t in terms:
-                base += c * grid[t]
-            if coef:
-                p, q = (den, den * n) if coef > 0 else (den * n, den)
-                low, high = -((base - p) // coef), (q - base) // coef
-                if low > lo:
-                    lo = low
-                if high < hi:
-                    hi = high
-            elif not den <= base <= den * n:
-                return
-            links.append((w, den, base, coef, w_beyond))
-        for v in range(lo, hi + 1):
-            if used >> v & 1:
-                continue
-            taken = used | 1 << v
-            grid[cell] = v
-            for w, den, base, coef, w_beyond in links:
-                num = base + coef * v
-                value = num // den
-                if num % den or taken >> value & 1 or w_beyond and any(
-                    (value - grid[c]) * s <= 0 for c, s in w_beyond
-                ):
-                    break
-                grid[w] = value
-                taken |= 1 << value
-            else:
-                fill(k + 1, taken)
+    def found(flat: tuple[int, ...]) -> None:
+        if not _is_magic(flat, x):
+            raise AssertionError(f"oracle found non-magic {flat}; forced-cell rules are unsound")
+        flats.append(flat)
 
-    fill(0, 0)
+    namespace: dict = {}
+    exec(compile(_oracle_source(x), f"<oracle order {x}>", "exec"), namespace)
+    namespace["search"](found)
     return flats
 
 
@@ -271,11 +294,12 @@ def oracle_search(x: int) -> set[Square]:
     are transposes of each other and swap (0,1) and (1,0).  The cells are
     filled corners first, then diagonals.  _forced_cells reduces the 2x+2
     line equations with model._rref; each row fixes one cell from free
-    cells filled before it (9 of 16 at order 4).  The search recurses over
-    the free cells only, and each forced cell up to the next free cell is
-    linear in the newest free value v: v's range keeps them in 1..x*x, and
-    a v is dropped when one is not an integer, repeats a value or breaks a
-    comparison.  No line sums are tracked: the rules span the line
+    cells filled before it (9 of 16 at order 4).  _oracle_source writes
+    the search out as one nested for loop per free cell (7 at order 4),
+    compiled on each call; each forced cell up to the next free cell is
+    computed inline, linear in the newest free value v: v's range keeps
+    them in 1..x*x, and a v is skipped when one is not an integer, repeats
+    a value or breaks a comparison.  No line sums are tracked: the rules span the line
     equations, so distinct values in 1..x*x that meet them form a magic
     square, and every magic square meets them.  Each form is audited, then
     mapped over flat row-major cells to its class.  Orders above 4 fail.

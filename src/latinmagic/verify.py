@@ -86,7 +86,10 @@ def line_positions(line: LineId, x: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, x - 1 - i) for i in range(x))
 
 
-def _picker(indices: tuple[int, ...]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+_Pick = Callable[[Sequence[int]], tuple[int, ...]]
+
+
+def _picker(indices: tuple[int, ...]) -> _Pick:
     """The items at these indices, always as a tuple.
 
     itemgetter with a single index returns the bare item, so order 1 (and
@@ -110,7 +113,12 @@ class _Geometry:
     bottom-right), which corner_picker reads; corner_pickers holds, per
     corner, the symmetry pickers whose image starts with it: two from
     order 2 on, all eight at order 1.
-    is_magic: the compiled audit, built on first use.
+    is_magic: the compiled audit.
+    Only the lines and corners are built with the table; the symmetries,
+    mirrors, their pickers and the audit are built on first use, since
+    verify_magic reads the table at any order and never reads them: eight
+    tables of x*x indices cost about half of verify_magic's time and
+    memory on a large square.
     """
 
     def __init__(self, x: int) -> None:
@@ -125,6 +133,12 @@ class _Geometry:
             for line in self.line_ids
         )
         self.line_pickers = tuple(map(_picker, self.lines))
+        self.corners = (0, x - 1, x * x - x, x * x - 1)
+        self.corner_picker = _picker(self.corners)
+
+    @cached_property
+    def symmetries(self) -> tuple[tuple[int, ...], ...]:
+        x = self.order
         # cell (i, j) of a clockwise quarter turn comes from cell (x-1-j, i),
         # and of a left-right flip from cell (i, x-1-j)
         turn = tuple((x - 1 - j) * x + i for i in range(x) for j in range(x))
@@ -136,16 +150,23 @@ class _Geometry:
             symmetries.append(current)
             symmetries.append(tuple(current[k] for k in flip))
             current = tuple(current[k] for k in turn)
-        self.symmetries = tuple(symmetries)
-        self.symmetry_pickers = tuple(map(_picker, symmetries))
-        self.mirrors = dict(zip(
+        return tuple(symmetries)
+
+    @cached_property
+    def symmetry_pickers(self) -> tuple[_Pick, ...]:
+        return tuple(map(_picker, self.symmetries))
+
+    @cached_property
+    def mirrors(self) -> dict[Axis, tuple[int, ...]]:
+        return dict(zip(
             (Axis.MIDDLE_COLUMN, Axis.MAIN_DIAGONAL, Axis.MIDDLE_ROW, Axis.ANTI_DIAGONAL),
-            symmetries[1::2],
+            self.symmetries[1::2],
         ))
-        self.corners = (0, x - 1, x * x - x, x * x - 1)
-        self.corner_picker = _picker(self.corners)
-        self.corner_pickers = tuple(
-            tuple(pick for sym, pick in zip(symmetries, self.symmetry_pickers) if sym[0] == corner)
+
+    @cached_property
+    def corner_pickers(self) -> tuple[tuple[_Pick, ...], ...]:
+        return tuple(
+            tuple(pick for sym, pick in zip(self.symmetries, self.symmetry_pickers) if sym[0] == corner)
             for corner in self.corners
         )
 

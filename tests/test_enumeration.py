@@ -1,5 +1,6 @@
 """Symmetry reduction, family censuses, and the exhaustive oracle."""
 import hashlib
+import itertools
 from collections import Counter
 
 import pytest
@@ -502,6 +503,25 @@ def test_oracle_rejects_forced_values_with_a_remainder(monkeypatch, rules):
     # rounding each value down would give the non-magic grid 1 2 / 3 4
     monkeypatch.setattr(enumeration, "_forced_cells", lambda x: rules)
     assert _frenicle_flats(2) == []
+
+
+def test_oracle_divides_forced_values_linear_in_the_free_value(monkeypatch):
+    # no real plan has den > 1 with coef != 0: here cells 0 and 2 are free,
+    # 2*v1 = 7 - 3*v0 and 3*v3 = 15 + v0 + v1 - 2*v2, and every grid passes
+    # the audit, so the forms are exactly the grids that meet the rules
+    rules = [None, (2, 7, ((-3, 0),)), None, (3, 15, ((1, 0), (1, 1), (-2, 2)))]
+    monkeypatch.setattr(enumeration, "_forced_cells", lambda x: rules)
+    monkeypatch.setattr(enumeration, "_is_magic", lambda flat, x: True)
+    assert [(den, coef) for _, _, chain in _oracle_plan(2) for _, den, _, _, coef, _ in chain] == [(2, -3), (3, -2)]
+    expected = [
+        v for v in itertools.product(range(1, 5), repeat=4)
+        if len(set(v)) == 4
+        and all(rule[0] * v[k] == rule[1] + sum(c * v[t] for c, t in rule[2])
+                for k, rule in enumerate(rules) if rule)
+        and v[0] < min(v[1], v[2], v[3]) and v[1] < v[2]
+    ]
+    assert expected == [(1, 2, 3, 4)]
+    assert _frenicle_flats(2) == expected
 
 
 def test_oracle_audits_every_form(monkeypatch):

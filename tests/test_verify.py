@@ -361,6 +361,14 @@ def test_verify_magic_leaves_the_compiled_audit_unbuilt():
     assert "is_magic" in vars(_geometry(x))
 
 
+def test_verify_magic_leaves_the_symmetry_tables_unbuilt():
+    x = 300
+    assert verify_magic(Square(_doubly_even(x))).verdict is Verdict.MAGIC
+    built = vars(_geometry(x))
+    for name in ("symmetries", "symmetry_pickers", "mirrors", "corner_pickers"):
+        assert name not in built, name
+
+
 def test_row_shuffled_magic_square_is_semi_magic():
     semi = Square(LO_SHU.cells[1:] + LO_SHU.cells[:1])
     assert reference_verify_magic(semi).verdict is Verdict.SEMI_MAGIC

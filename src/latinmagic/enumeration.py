@@ -216,7 +216,7 @@ def _oracle_source(x: int) -> str:
     den when den is not 1; a remainder, a used value or a broken comparison
     skips to the next v.  The innermost body passes the row-major cells to
     found.  Python allows 20 nested loops, so the source compiles up to
-    order 5 (13 free cells).
+    order 5 (14 free cells).
     """
     n = x * x
     steps = _oracle_plan(x)

@@ -114,6 +114,7 @@ class _Geometry:
     corner, the symmetry pickers whose image starts with it: two from
     order 2 on, all eight at order 1.
     is_magic: the compiled audit.
+
     Only the lines and corners are built with the table; the symmetries,
     mirrors, their pickers and the audit are built on first use, since
     verify_magic reads the table at any order and never reads them: eight

@@ -33,6 +33,7 @@ from latinmagic.enumeration import (
     _frenicle_flats,
     _oracle_flats,
     _oracle_plan,
+    _oracle_source,
 )
 from latinmagic.verify import _flat, _unflat
 from helpers import GOLDENS, load_square
@@ -522,6 +523,13 @@ def test_oracle_divides_forced_values_linear_in_the_free_value(monkeypatch):
     ]
     assert expected == [(1, 2, 3, 4)]
     assert _frenicle_flats(2) == expected
+
+
+def test_oracle_search_compiles_at_order_five():
+    # one nested loop per free cell, under Python's 20 nested blocks
+    source = _oracle_source(5)
+    assert source.count(" for g") == 14
+    compile(source, "<oracle order 5>", "exec")
 
 
 def test_oracle_audits_every_form(monkeypatch):

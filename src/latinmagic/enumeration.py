@@ -224,7 +224,7 @@ def _oracle_source(x: int) -> str:
     used = "0"
     for k, (cell, beyond, chain) in enumerate(steps):
         pad = "    " * (k + 1)
-        lows, highs = ([1], [n]) if cell < n else ([0], [0])
+        lows, highs = (["1"], [str(n)]) if cell < n else (["0"], ["0"])
         for c, s in beyond:
             if s > 0:
                 lows.append(f"g{c} + 1")
@@ -242,8 +242,8 @@ def _oracle_source(x: int) -> str:
                 highs.append(f"({q} - b{w}) // {coef}")
             else:
                 lines.append(f"{pad}if not {den} <= b{w} <= {den * n}: {'continue' if k else 'return'}")
-        low = f"max({', '.join(map(str, lows))})" if len(lows) > 1 else lows[0]
-        high = f"min({', '.join(map(str, highs))})" if len(highs) > 1 else highs[0]
+        low = f"max({', '.join(lows)})" if len(lows) > 1 else lows[0]
+        high = f"min({', '.join(highs)})" if len(highs) > 1 else highs[0]
         lines.append(f"{pad}for g{cell} in range({low}, {high} + 1):")
         pad += "    "
         mask = f"u{k}"

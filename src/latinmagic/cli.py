@@ -22,13 +22,7 @@ from .construct import (
     magic_figure,
     solve_assignments,
 )
-from .enumeration import (
-    FamilyCensus,
-    _canonical_flat,
-    _figure_cells,
-    _oracle_flats,
-    census,
-)
+from .enumeration import FamilyCensus, _classes, _figure_cells, _oracle_flats, census
 from .model import Square, ValueAssignment, _Record, _shorten, evaluate
 from .verify import VerificationReport, Verdict, _flat, verify_magic
 
@@ -469,16 +463,6 @@ def _cmd_verify(args) -> int:
     return 0 if report.verdict is Verdict.MAGIC else 1
 
 
-def _dihedral_representatives(flats, x: int):
-    """The first row-major order-x square of each symmetry class, in input order."""
-    seen: set = set()
-    for flat in flats:
-        key = _canonical_flat(flat, x)
-        if key not in seen:
-            seen.add(key)
-            yield flat
-
-
 def _cmd_enumerate(args) -> int:
     if args.count_only:
         print(render(census(args.family, variant=args.variant), args.format))
@@ -486,7 +470,7 @@ def _cmd_enumerate(args) -> int:
     figure = magic_figure(args.family, args.variant)
     flats = _figure_cells(figure, args.family)
     if args.dedup == "dihedral":
-        flats = _dihedral_representatives(flats, figure.order)
+        flats = [members[0] for members in _classes(flats, figure.order).values()]
     _print_squares(flats, args.format, {"family": args.family})
     return 0
 
@@ -520,7 +504,8 @@ def _cmd_oracle(args) -> int:
     if args.count_only:
         print(_counts_text([("order", "order", order), ("count", "squares", len(flats))], args.format))
         return 0
-    ordered = sorted(flats, key=lambda flat: (_canonical_flat(flat, order), flat))
+    classes = _classes(flats, order)
+    ordered = [flat for key in sorted(classes) for flat in sorted(classes[key])]
     _print_squares(ordered, args.format, {"order": order})
     return 0
 

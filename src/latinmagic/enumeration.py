@@ -52,6 +52,17 @@ def _canonical_flat(flat: tuple[int, ...], x: int) -> tuple[int, ...]:
     return min(pick(flat) for pick in geometry.symmetry_pickers)
 
 
+def _classes(flats, x: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Row-major order-x squares grouped by class key, _canonical_flat.
+
+    Keys and each key's members come in first-seen order.
+    """
+    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for flat in flats:
+        classes.setdefault(_canonical_flat(flat, x), []).append(flat)
+    return classes
+
+
 def canonicalize(square: Square) -> CanonicalSquare:
     """The least of the square's eight images, compared as row-major tuples."""
     least = _canonical_flat(_flat(square.cells), square.order)
@@ -105,13 +116,12 @@ def enumerate_family(family_id: str, variant: str = "c") -> Iterator[Square]:
 def census(family_id: str, variant: str = "c") -> FamilyCensus:
     """Counts for a family: assignments, distinct squares, dihedral classes."""
     figure = magic_figure(family_id, variant)
-    x = figure.order
     flats = list(_figure_cells(figure, family_id))
     return FamilyCensus(
         family_id=family_id,
         assignments_total=len(flats),
         squares_distinct=len(set(flats)),
-        squares_distinct_dihedral=len({_canonical_flat(flat, x) for flat in flats}),
+        squares_distinct_dihedral=len(_classes(flats, figure.order)),
     )
 
 

@@ -21,6 +21,7 @@ from .model import (
     _primitive,
     _Record,
     _check_member,
+    _check_order,
     _reduce,
     _rref,
     _shorten,
@@ -273,6 +274,7 @@ def _solve_values(constraints, x: int):
         raise ValueError(
             f"assignment enumeration is capped at order {MAX_SOLVE_ORDER}, got {x}"
         )
+    _check_order(x)
     constraints = tuple(constraints)
     for c in constraints:
         if c.order != x:

@@ -89,6 +89,7 @@ class SymbolId(_Record):
 
     def _post_init(self) -> None:
         _check_member(self.role, Role, "role")
+        _check_integer(self.index, "symbol index")
         if self.index < 0:
             raise ValueError(f"symbol index must be >= 0, got {self.index}")
 
@@ -111,6 +112,12 @@ def _check_member(value, enum: type[Enum], what: str) -> None:
     if not isinstance(value, enum):
         known = ", ".join(f"{enum.__name__}.{m.name}" for m in enum)
         raise ValueError(f"{what} must be one of {known}, got {_shorten(repr(value))}")
+
+
+def _check_integer(value, what: str) -> None:
+    """Refuse anything but an int that is not a bool, naming what it is."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {_shorten(repr(value))}")
 
 
 def _shown(values) -> str:
@@ -254,8 +261,7 @@ class Square(_Record):
 
 
 def _check_order(x: int) -> None:
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise ValueError(f"order must be an integer, got {_shorten(repr(x))}")
+    _check_integer(x, "order")
     if x < 1:
         raise ValueError(f"order must be >= 1, got {_shorten(str(x))}")
 
@@ -269,6 +275,7 @@ def magic_constant(x: int) -> int:
 def decompose(k: int, x: int) -> tuple[int, int]:
     """Split k in 1..x*x into (m, n) with k = m*x + n, 0 <= m < x, 1 <= n <= x."""
     _check_order(x)
+    _check_integer(k, "value")
     if not 1 <= k <= x * x:
         raise ValueError(f"value {k} outside 1..{x * x}")
     m = (k - 1) // x
@@ -279,6 +286,8 @@ def decompose(k: int, x: int) -> tuple[int, int]:
 def compose(m: int, n: int, x: int) -> int:
     """Inverse of decompose: m*x + n with the same range checks."""
     _check_order(x)
+    _check_integer(m, "multiple part")
+    _check_integer(n, "unit part")
     if not 0 <= m <= x - 1:
         raise ValueError(f"multiple part {m} outside 0..{x - 1}")
     if not 1 <= n <= x:

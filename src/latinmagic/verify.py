@@ -21,6 +21,7 @@ from .model import (
     SymbolGrid,
     SymbolId,
     _Record,
+    _check_integer,
     _check_member,
     _check_order,
     magic_constant,
@@ -51,6 +52,7 @@ class LineId(_Record):
 
     def _post_init(self) -> None:
         _check_member(self.kind, LineKind, "kind")
+        _check_integer(self.index, "line index")
 
     def __str__(self) -> str:
         if self.kind in (LineKind.ROW, LineKind.COLUMN):

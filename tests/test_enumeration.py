@@ -27,6 +27,7 @@ from latinmagic import (
 from latinmagic import enumeration
 from latinmagic.enumeration import (
     _canonical_flat,
+    _classes,
     _figure_cells,
     _fill_order,
     _forced_cells,
@@ -341,6 +342,13 @@ def test_the_papers_order_four_figures_reach_184_of_880_classes(oracle4):
     assert len({_canonical_flat(flat, 4) for flat in reached}) == 184
 
 
+def test_the_papers_order_four_figures_reach_184_classes_without_the_oracle():
+    # item 3's census over a stream of figures: one class grouping of every
+    # square the five figures make
+    made = [flat for f, v in PAPER_ORDER_FOUR for flat in _figure_cells(magic_figure(f, v), f)]
+    assert (len(made), len(set(made)), len(_classes(made, 4))) == (1344, 1344, 184)
+
+
 def _is_latin_figure(figure):
     """Whether each alphabet of a figure holds every letter once in every row and column."""
     x = len(figure)
@@ -439,6 +447,30 @@ def test_frenicle_forms_are_pairwise_inequivalent_normal_forms(x):
             assert cells[0][1] < cells[1][0]
     assert len({canonicalize(Square(cells)) for cells in forms}) == len(forms)
     assert len(forms) == {1: 1, 2: 0, 3: 1, 4: 880}[x]
+
+
+@pytest.mark.parametrize("x, size", [(1, 1), (2, None), (3, 8), (4, 8)])
+def test_oracle_forms_are_the_class_keys(x, size):
+    # the search's normal form is the census's key: each form is the least
+    # image of its class, and each class has one form
+    classes = _classes(_oracle_flats(x), x)
+    assert sorted(classes) == sorted(_frenicle_flats(x))
+    assert {len(members) for members in classes.values()} == ({size} if size else set())
+
+
+@pytest.mark.parametrize("x, forms", [(3, 1), (4, 880)])
+def test_oracle_bounds_a_free_cell_by_a_later_comparison(monkeypatch, x, forms):
+    # the real fill order places the smaller cell of each Frénicle pair
+    # first; with the corners (0,0) and (0,x-1) swapped, (0,0) comes second
+    # and its comparison with (0,x-1) bounds its loop from above
+    plain = set(_frenicle_flats(x))
+    order = _fill_order(x)
+    assert order[:2] == (0, x - 1)
+    monkeypatch.setattr(enumeration, "_fill_order", lambda n: (order[1], order[0], *order[2:]))
+    loop = next(line for line in _oracle_source(x).splitlines() if " for g0 " in line)
+    assert f"min({x * x}, g{x - 1} - 1" in loop
+    assert len(plain) == forms
+    assert set(_frenicle_flats(x)) == plain
 
 
 def test_oracle_drops_a_constant_forced_cell_outside_the_values(monkeypatch):

@@ -23,8 +23,11 @@ from latinmagic import (
     Verdict,
     VerificationReport,
     all_lines,
+    compose,
+    decompose,
     line_positions,
     magic_constant,
+    solve_assignments,
     verify_magic,
 )
 from latinmagic.cli import SquareDocument
@@ -309,6 +312,23 @@ def test_records_refuse_assignment_and_deletion(cls):
         (lambda: magic_constant(2.5), "order must be an integer, got 2.5"),
         (lambda: magic_constant(True), "order must be an integer, got True"),
         (lambda: all_lines(2.0), "order must be an integer, got 2.0"),
+        (lambda: decompose(2.5, 3), "value must be an integer, got 2.5"),
+        (lambda: compose(1.0, 2, 3), "multiple part must be an integer, got 1.0"),
+        (lambda: compose(1, 2.0, 3), "unit part must be an integer, got 2.0"),
+        # explicit ids: the messages repeat magic_constant's and all_lines'
+        pytest.param(
+            lambda: next(solve_assignments((), True)), "order must be an integer, got True",
+            id="solve_assignments-True",
+        ),
+        pytest.param(
+            lambda: next(solve_assignments((), 2.0)), "order must be an integer, got 2.0",
+            id="solve_assignments-2.0",
+        ),
+        (lambda: SymbolId(Role.LATIN, True).letter, "symbol index must be an integer, got True"),
+        (
+            lambda: line_positions(LineId(LineKind.ROW, 1.0), 3),
+            "line index must be an integer, got 1.0",
+        ),
     ],
 )
 def test_validation_messages(make, message):

@@ -20,8 +20,8 @@ from .model import (
     ValueAssignment,
     _primitive,
     _Record,
+    _check_integer,
     _check_member,
-    _check_order,
     _reduce,
     _rref,
     _shorten,
@@ -270,11 +270,11 @@ def solve_assignments(constraints, x: int):
 
 def _solve_values(constraints, x: int):
     """The (latin values, greek values) tuple pairs of solve_assignments, in its order."""
+    _check_integer(x, "order")
     if not 1 <= x <= MAX_SOLVE_ORDER:
         raise ValueError(
             f"assignment enumeration is capped at order {MAX_SOLVE_ORDER}, got {x}"
         )
-    _check_order(x)
     constraints = tuple(constraints)
     for c in constraints:
         if c.order != x:

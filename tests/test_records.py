@@ -324,6 +324,7 @@ def test_records_refuse_assignment_and_deletion(cls):
             lambda: next(solve_assignments((), 2.0)), "order must be an integer, got 2.0",
             id="solve_assignments-2.0",
         ),
+        (lambda: next(solve_assignments((), "3")), "order must be an integer, got '3'"),
         (lambda: SymbolId(Role.LATIN, True).letter, "symbol index must be an integer, got True"),
         (
             lambda: line_positions(LineId(LineKind.ROW, 1.0), 3),

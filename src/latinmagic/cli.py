@@ -379,12 +379,7 @@ def _read_input(path: str) -> str:
 
 
 def _csv_ints(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(_integer(part.strip(), flag) for part in text.split(","))
-    except ValueError:
-        raise ValueError(
-            f"{flag} expects comma-separated integers, got {_shorten(repr(text))}"
-        ) from None
+    return tuple(_integer(part.strip(), f"{flag} value {k}") for k, part in enumerate(text.split(",")))
 
 
 def _print_squares(flats, fmt: str, header: dict) -> None:
@@ -496,10 +491,7 @@ def _cmd_constraints(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    try:
-        order = _integer(args.order, "--order")
-    except ValueError:
-        raise ValueError(f"--order expects an integer, got {_shorten(repr(args.order))}") from None
+    order = _integer(args.order, "--order")
     flats = _oracle_flats(order)
     if args.count_only:
         print(_counts_text([("order", "order", order), ("count", "squares", len(flats))], args.format))

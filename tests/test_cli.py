@@ -293,7 +293,7 @@ def test_gen_shortens_a_long_value_argument(capsys):
         "--greek", "1,3,2",
     )
     assert (code, out) == (2, "")
-    assert "--latin expects comma-separated integers" in err
+    assert "integer at --latin value 0 has 5000 digits" in err
     assert len(err) < 200
 
 
@@ -304,7 +304,7 @@ def test_gen_accepts_only_ascii_decimal_values(capsys, latin):
     )
     assert (code, out) == (2, "")
     assert err == (
-        f"error: --latin expects comma-separated integers, got {latin!r}\n"
+        f"error: invalid integer {latin.split(',')[1]!r} at --latin value 1\n"
     )
 
 
@@ -948,7 +948,7 @@ def test_oracle_order_takes_only_ascii_decimal_integers(capsys, order):
     code, out, err = cli(capsys, "oracle", "--order", order, "--count-only")
     assert code == 2
     assert out == ""
-    assert err == f"error: --order expects an integer, got {order!r}\n"
+    assert err == f"error: invalid integer {order!r} at --order\n"
 
 
 # --- families and usage ----------------------------------------------------------

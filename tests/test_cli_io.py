@@ -70,7 +70,7 @@ def test_families_with_stdout_closed_exits_two():
 def test_integer_flags_are_capped_whatever_the_interpreter_allows(argv, flag):
     child = latinmagic_child(*argv, env={**CHILD_ENV, "PYTHONINTMAXSTRDIGITS": "0"})
     assert (child.returncode, child.stdout) == (2, b"")
-    assert child.stderr.startswith(f"error: {flag} expects ".encode())
+    assert child.stderr.startswith(f"error: integer at {flag} ".encode())
     assert child.stderr.count(b"\n") == 1
     assert len(child.stderr) < 200
 

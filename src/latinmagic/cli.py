@@ -167,6 +167,8 @@ def _parse_structured(text: str) -> SquareDocument:
                 )
         cells.append(tuple(row))
     order = data.get("order", len(cells))
+    if isinstance(order, _LongInteger):
+        _integer(order.literal, "'order'")
     if type(order) is not int or order != len(cells):
         raise SquareParseError(
             f"'order' is {_shorten(repr(order))} but 'cells' has {len(cells)} rows"

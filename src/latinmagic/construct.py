@@ -107,6 +107,7 @@ def rotate_lines(grid: SuperposedGrid, axis: str, shift: int) -> SuperposedGrid:
     """
     if axis not in ("columns", "rows"):
         raise ValueError(f"axis must be 'columns' or 'rows', got {axis!r}")
+    _check_integer(shift, "shift")
     x = grid.order
     shift %= x
     if axis == "columns":
@@ -135,7 +136,7 @@ class LinearConstraint(_Record):
             for k, c in enumerate(coeffs):
                 if not isinstance(c, int) or isinstance(c, bool):
                     raise ValueError(
-                        f"{side} coefficient {k} is not an integer: {c!r}"
+                        f"{side} coefficient {k} is not an integer: {_shorten(repr(c))}"
                     )
         if len(latin) != len(greek):
             raise ValueError("latin and greek coefficient lists differ in length")

@@ -77,6 +77,7 @@ def all_lines(x: int) -> tuple[LineId, ...]:
 
 def line_positions(line: LineId, x: int) -> tuple[tuple[int, int], ...]:
     """Row-major cell positions belonging to the given line."""
+    _check_order(x)
     if line.kind in (LineKind.ROW, LineKind.COLUMN) and not 0 <= line.index < x:
         raise ValueError(f"line index {line.index} outside 0..{x - 1}")
     if line.kind is LineKind.ROW:

@@ -617,7 +617,7 @@ def test_verify_rejects_oversized_integers(capsys, monkeypatch):
     )
     assert code == 2
     assert err == (
-        "error: 'order' is <5000-digit integer> but 'cells' has 1 rows\n"
+        f"error: integer at 'order' has 5000 digits, more than 4300: {short}\n"
     )
 
 

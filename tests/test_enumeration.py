@@ -369,6 +369,49 @@ def test_the_papers_order_four_figures_reach_152_of_192_digit_latin_classes(orac
     assert len(set().union(*reached.values())) == 152
 
 
+def _pandiagonal(flat):
+    """Whether all 10 broken diagonals of an order-5 square sum to 65."""
+    return all(sum(flat[i * 5 + (s * i + d) % 5] for i in range(5)) == 65 for d in range(5) for s in (1, -1))
+
+
+def _associative(flat):
+    """Whether each cell of an order-5 square plus the cell opposite it is 26."""
+    return all(v + w == 26 for v, w in zip(flat, reversed(flat)))
+
+
+def test_the_papers_order_five_figures_are_not_pandiagonal_and_seldom_associative():
+    # per figure: squares, pandiagonal ones, associative ones, their classes
+    found, associative = [], {}
+    for f in ("e5.diag", "e5.center", "e5.rotated"):
+        made = list(_figure_cells(magic_figure(f, "c"), f))
+        classes = associative[f] = _classes(filter(_associative, made), 5)
+        found.append((len(made), sum(map(_pandiagonal, made)), sum(map(len, classes.values())), len(classes)))
+    assert found == [(14400, 0, 64, 16), (576, 0, 64, 16), (16, 0, 0, 0)]
+    assert associative["e5.diag"].keys().isdisjoint(associative["e5.center"])
+
+
+def _cyclic_figure(latin_step, greek_step):
+    """Row i holds the letters 0..4 shifted right by latin_step*i and greek_step*i."""
+    return SuperposedGrid(tuple(
+        tuple(((j + latin_step * i) % 5, (j + greek_step * i) % 5) for j in range(5)) for i in range(5)
+    ))
+
+
+def test_the_two_cyclic_order_five_figures_make_28800_pandiagonal_squares():
+    # 28,800 is the published count of order-5 pandiagonal squares; that these
+    # are all of them needs a pandiagonal oracle (ROADMAP item 9)
+    figures = (_cyclic_figure(2, 3), _cyclic_figure(3, 2))
+    assert [len(diagonal_constraints(figure)) for figure in figures] == [0, 0]
+    first, second = (set(_figure_cells(figure, "cyclic figure")) for figure in figures)
+    assert (len(first), len(second)) == (14400, 14400)
+    assert first.isdisjoint(second)
+    made = first | second
+    assert all(map(_pandiagonal, made))
+    classes = _classes(made, 5)
+    assert len(classes) == 3600
+    assert sum(map(_associative, classes)) == 16
+
+
 @pytest.mark.parametrize("x, steps", [
     (1, [0]),
     (2, [0, 1, 2, 3]),

@@ -27,6 +27,7 @@ from latinmagic import (
     decompose,
     line_positions,
     magic_constant,
+    rotate_lines,
     solve_assignments,
     verify_magic,
 )
@@ -329,6 +330,36 @@ def test_records_refuse_assignment_and_deletion(cls):
         (
             lambda: line_positions(LineId(LineKind.ROW, 1.0), 3),
             "line index must be an integer, got 1.0",
+        ),
+        pytest.param(
+            lambda: rotate_lines(sample(SuperposedGrid), "columns", True),
+            "shift must be an integer, got True",
+            id="rotate_lines-True",
+        ),
+        pytest.param(
+            lambda: rotate_lines(sample(SuperposedGrid), "columns", 1.5),
+            "shift must be an integer, got 1.5",
+            id="rotate_lines-1.5",
+        ),
+        pytest.param(
+            lambda: rotate_lines(sample(SuperposedGrid), "rows", "1"),
+            "shift must be an integer, got '1'",
+            id="rotate_lines-str",
+        ),
+        pytest.param(
+            lambda: line_positions(LineId(LineKind.ROW, 0), True),
+            "order must be an integer, got True",
+            id="line_positions-True",
+        ),
+        pytest.param(
+            lambda: line_positions(LineId(LineKind.ROW, 0), 2.5),
+            "order must be an integer, got 2.5",
+            id="line_positions-2.5",
+        ),
+        pytest.param(
+            lambda: LinearConstraint((1, "a" * 100), (0, 0)),
+            "latin coefficient 1 is not an integer: 'aaaaaaaaaaaaaaa...aaaaaaaaaaaaaaa'",
+            id="LinearConstraint-long-coefficient",
         ),
     ],
 )

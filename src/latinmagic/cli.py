@@ -69,15 +69,14 @@ def _integer(literal: str, where: str) -> int:
     return int(literal)
 
 
-class _LongInteger:
+class _LongInteger(_Record):
     """A JSON integer literal too long to convert, kept for the error message.
 
     JSON hands literals over without their position, so the structured
     path reports one where the document's fields are checked.
     """
 
-    def __init__(self, literal: str) -> None:
-        self.literal = literal
+    literal: str
 
     def __repr__(self) -> str:
         return f"<{len(self.literal.lstrip('-'))}-digit integer>"
@@ -297,14 +296,7 @@ def render(obj, fmt: str = "text") -> str:
 def _render_document(doc: SquareDocument, fmt: str) -> str:
     if fmt == "text":
         return _grid_text(doc.cells)
-    payload: dict = {"order": doc.order, "cells": [list(row) for row in doc.cells]}
-    if doc.family is not None:
-        payload["family"] = doc.family
-    if doc.latin_values is not None:
-        payload["latin_values"] = list(doc.latin_values)
-    if doc.greek_values is not None:
-        payload["greek_values"] = list(doc.greek_values)
-    return _json_text(payload)
+    return _json_text({key: value for key, value in vars(doc).items() if value is not None})
 
 
 def _render_report(report: VerificationReport, fmt: str) -> str:
@@ -422,30 +414,24 @@ def _cmd_gen(args) -> int:
     family = FAMILIES.get(args.family)
     no_values = args.latin is None and args.greek is None and args.variant == "c"
     if family is not None and not family.figures and no_values:
-        square = editor_square()
-        print(render(SquareDocument(square.order, square.cells, family=args.family), args.format))
-        return 0
-    figure = magic_figure(args.family, args.variant)
-    if (args.latin is None) != (args.greek is None):
-        raise ValueError("provide both --latin and --greek, or neither")
-    constraints = diagonal_constraints(figure)
-    if args.latin is None:
-        assignment = next(solve_assignments(constraints, figure.order), None)
-        if assignment is None:
-            raise ValueError(f"family {args.family} admits no satisfying assignment")
+        square, values = editor_square(), {}
     else:
-        assignment = ValueAssignment(
-            _csv_ints(args.latin, "--latin"), _csv_ints(args.greek, "--greek")
-        )
-    square = _checked_square(args.family, figure, constraints, assignment)
-    doc = SquareDocument(
-        order=square.order,
-        cells=square.cells,
-        family=args.family,
-        latin_values=assignment.latin_values,
-        greek_values=assignment.greek_values,
-    )
-    print(render(doc, args.format))
+        figure = magic_figure(args.family, args.variant)
+        if (args.latin is None) != (args.greek is None):
+            raise ValueError("provide both --latin and --greek, or neither")
+        constraints = diagonal_constraints(figure)
+        if args.latin is None:
+            assignment = next(solve_assignments(constraints, figure.order), None)
+            if assignment is None:
+                raise ValueError(f"family {args.family} admits no satisfying assignment")
+        else:
+            assignment = ValueAssignment(
+                _csv_ints(args.latin, "--latin"), _csv_ints(args.greek, "--greek")
+            )
+        square = _checked_square(args.family, figure, constraints, assignment)
+        # the document's letter-value fields are named as the assignment's
+        values = vars(assignment)
+    print(render(SquareDocument(square.order, square.cells, args.family, **values), args.format))
     return 0
 
 
@@ -475,18 +461,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_constraints(args) -> int:
     constraints = diagonal_constraints(magic_figure(args.family, args.variant))
     if args.format != "text":
-        payload = {
-            "family": args.family,
-            "constraints": [
-                {
-                    "text": str(c),
-                    "latin": list(c.latin),
-                    "greek": list(c.greek),
-                }
-                for c in constraints
-            ],
-        }
-        print(_json_text(payload))
+        listed = [{"text": str(c), **vars(c)} for c in constraints]
+        print(_json_text({"family": args.family, "constraints": listed}))
     else:
         print("\n".join(map(str, constraints)) or "(none)")
     return 0

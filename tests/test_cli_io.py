@@ -309,6 +309,22 @@ def test_one_digit_over_the_cap_is_refused_with_its_place(capsys, monkeypatch, t
     assert err == f"error: integer at {where} has 4301 digits, more than 4300: {'9' * 16}...{'9' * 16}\n"
 
 
+# a long literal where no integer check reaches it is shown by its length
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (f'{{"cells": [[1]], "family": {NINES}}}', "'family' must be a string, got <5000-digit integer>"),
+        (f'{{"cells": [[1]], "order": [{NINES}]}}', "'order' is [<5000-digit integer>] but 'cells' has 1 rows"),
+        (f'{{"cells": [[[{NINES}]]]}}', "cell (0, 0) is not an integer: [<5000-digit integer>]"),
+    ],
+    ids=["family", "order-list", "cell-list"],
+)
+def test_a_long_literal_out_of_place_is_shown_by_its_digits(capsys, monkeypatch, tmp_path, document, message):
+    code, out, err = verify_bytes(capsys, monkeypatch, tmp_path, document.encode(), "stdin")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert len(err) < 200
+
+
 # int() would also read the other scripts' digits, "_" and the padding
 TOKEN_CHARS = "0123456789\u0668\uff18_+- "
 # any mix of those, or a head, a run of ASCII digits (short, or 4,299 to

@@ -33,3 +33,8 @@ def test_every_call_matches_the_transcript():
         if recorder.record(call["argv"], call["stdin"]) != call
     ]
     assert changed == []
+
+
+def test_the_transcript_records_every_call_in_order():
+    # a call added to or dropped from calls() shows here before the file is regenerated
+    assert [(call["argv"], call["stdin"]) for call in TRANSCRIPT] == recorder.calls()

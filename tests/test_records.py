@@ -302,13 +302,16 @@ def test_records_refuse_assignment_and_deletion(cls):
             "kind must be one of LineKind.ROW, LineKind.COLUMN, "
             "LineKind.MAIN_DIAGONAL, LineKind.ANTI_DIAGONAL, got 'row'",
         ),
-        (
+        # explicit ids, kept as pytest numbered them: the two messages are the same
+        pytest.param(
             lambda: SymbolId("latin", 0).letter,
             "role must be one of Role.LATIN, Role.GREEK, got 'latin'",
+            id="<lambda>-role must be one of Role.LATIN, Role.GREEK, got 'latin'0",
         ),
-        (
+        pytest.param(
             lambda: SymbolGrid("latin", ((0,),)),
             "role must be one of Role.LATIN, Role.GREEK, got 'latin'",
+            id="<lambda>-role must be one of Role.LATIN, Role.GREEK, got 'latin'1",
         ),
         (lambda: magic_constant(2.5), "order must be an integer, got 2.5"),
         (lambda: magic_constant(True), "order must be an integer, got True"),
@@ -367,6 +370,15 @@ def test_validation_messages(make, message):
     with pytest.raises(ValueError) as info:
         make()
     assert str(info.value) == message
+
+
+def test_validation_messages_without_an_id_differ():
+    # pytest takes an unnamed case's id from its message and numbers
+    # repeated ids without a word, so a repeated message needs an explicit id
+    (cases,) = [m.args[1] for m in test_validation_messages.pytestmark if m.name == "parametrize"]
+    # a case is a plain tuple or a pytest.param, whose arguments are its values
+    unnamed = [getattr(case, "values", case)[1] for case in cases if getattr(case, "id", None) is None]
+    assert len(unnamed) == len(set(unnamed))
 
 
 def test_generated_initializer():

@@ -16,7 +16,7 @@ from math import isqrt
 from .construct import (
     FAMILIES,
     OrthogonalityError,
-    _checked_square,
+    build_square,
     diagonal_constraints,
     editor_square,
     magic_figure,
@@ -419,16 +419,17 @@ def _cmd_gen(args) -> int:
         figure = magic_figure(args.family, args.variant)
         if (args.latin is None) != (args.greek is None):
             raise ValueError("provide both --latin and --greek, or neither")
-        constraints = diagonal_constraints(figure)
         if args.latin is None:
-            assignment = next(solve_assignments(constraints, figure.order), None)
+            # the solver yields only assignments that meet the constraints
+            assignment = next(solve_assignments(diagonal_constraints(figure), figure.order), None)
             if assignment is None:
                 raise ValueError(f"family {args.family} admits no satisfying assignment")
+            square = evaluate(figure, assignment)
         else:
             assignment = ValueAssignment(
                 _csv_ints(args.latin, "--latin"), _csv_ints(args.greek, "--greek")
             )
-        square = _checked_square(args.family, figure, constraints, assignment)
+            square = build_square(args.family, assignment, args.variant)
         # the document's letter-value fields are named as the assignment's
         values = vars(assignment)
     print(render(SquareDocument(square.order, square.cells, args.family, **values), args.format))

@@ -489,24 +489,12 @@ def build_square(
     and the assignment must satisfy every line constraint of the figure.
     """
     figure = magic_figure(family_id, variant)
-    return _checked_square(
-        family_id, figure, diagonal_constraints(figure), assignment
-    )
-
-
-def _checked_square(
-    family_id: str,
-    figure: SuperposedGrid,
-    constraints: tuple[LinearConstraint, ...],
-    assignment: ValueAssignment,
-) -> Square:
-    """build_square for a figure already checked and its constraints."""
     if figure.order != assignment.order:
         raise ValueError(
             f"family {family_id} has order {figure.order}, assignment has "
             f"order {assignment.order}"
         )
-    for constraint in constraints:
+    for constraint in diagonal_constraints(figure):
         if not constraint.holds(assignment):
             raise ConstraintViolationError(constraint, assignment)
     return evaluate(figure, assignment)

@@ -354,6 +354,26 @@ def test_gen_builds_its_figure_once(capsys, monkeypatch):
     assert calls == {"verify_orthogonality": 1, "diagonal_constraints": 1}
 
 
+@pytest.mark.parametrize("values, built, evaluated", [
+    (("--latin", "0,5,10,15,20", "--greek", "1,2,3,4,5"), 1, 0),
+    ((), 0, 1),
+])
+def test_gen_builds_given_values_and_evaluates_solved_ones(
+    capsys, monkeypatch, values, built, evaluated
+):
+    spies = []
+    for module, name in (
+        (cli_module, "build_square"), (cli_module, "evaluate"),
+        (construct, "diagonal_constraints"), (cli_module, "diagonal_constraints"),
+    ):
+        spies.append(mock.Mock(wraps=getattr(module, name)))
+        monkeypatch.setattr(module, name, spies[-1])
+    code, out, _ = cli(capsys, "gen", "--family", "e5.center", *values)
+    assert code == 0 and out
+    counts = [spy.call_count for spy in spies]
+    assert (counts[0], counts[1], counts[2] + counts[3]) == (built, evaluated, 1)
+
+
 def test_gen_argument_errors(capsys):
     assert cli(capsys, "gen", "--family", "e9.bogus")[0] == 2
     assert cli(capsys, "gen", "--family", "e3.reflect", "--latin", "0,6,3")[0] == 2
@@ -943,7 +963,7 @@ def test_oracle_rejects_large_orders(capsys):
     assert cli(capsys, "oracle", "--order", "0")[0] == 2
 
 
-@pytest.mark.parametrize("order", ["\uff13", " 3_0", "3.0", ""])
+@pytest.mark.parametrize("order", ["\uff13", " 3_0", "3.0", "", " 3", "3 "])
 def test_oracle_order_takes_only_ascii_decimal_integers(capsys, order):
     code, out, err = cli(capsys, "oracle", "--order", order, "--count-only")
     assert code == 2

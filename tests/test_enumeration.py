@@ -369,14 +369,15 @@ def test_the_papers_order_four_figures_reach_152_of_192_digit_latin_classes(orac
     assert len(set().union(*reached.values())) == 152
 
 
-def _pandiagonal(flat):
-    """Whether all 10 broken diagonals of an order-5 square sum to 65."""
-    return all(sum(flat[i * 5 + (s * i + d) % 5] for i in range(5)) == 65 for d in range(5) for s in (1, -1))
+def _pandiagonal(flat, x=5):
+    """Whether all 2x broken diagonals of an order-x square sum to x(xx+1)/2 (65 at order 5)."""
+    total = x * (x * x + 1) // 2
+    return all(sum(flat[i * x + (s * i + d) % x] for i in range(x)) == total for d in range(x) for s in (1, -1))
 
 
-def _associative(flat):
-    """Whether each cell of an order-5 square plus the cell opposite it is 26."""
-    return all(v + w == 26 for v, w in zip(flat, reversed(flat)))
+def _associative(flat, x=5):
+    """Whether each cell of an order-x square plus the cell opposite it is xx+1 (26 at order 5)."""
+    return all(v + w == x * x + 1 for v, w in zip(flat, reversed(flat)))
 
 
 def test_the_papers_order_five_figures_are_not_pandiagonal_and_seldom_associative():
@@ -388,6 +389,25 @@ def test_the_papers_order_five_figures_are_not_pandiagonal_and_seldom_associativ
         found.append((len(made), sum(map(_pandiagonal, made)), sum(map(len, classes.values())), len(classes)))
     assert found == [(14400, 0, 64, 16), (576, 0, 64, 16), (16, 0, 0, 0)]
     assert associative["e5.diag"].keys().isdisjoint(associative["e5.center"])
+
+
+@pytest.mark.parametrize("x, counts", [
+    (3, [(0, 0), (8, 1), (0, 0)]),
+    (4, [(384, 48), (384, 48), (0, 0)]),
+])
+def test_the_oracle_counts_pandiagonal_and_associative_squares(x, counts):
+    # an independent reference for a conditioned oracle: per condition
+    # (pandiagonal, associative, both), the squares and their classes
+    flats = _oracle_flats(x)
+    found = []
+    for holds in (
+        lambda flat: _pandiagonal(flat, x),
+        lambda flat: _associative(flat, x),
+        lambda flat: _pandiagonal(flat, x) and _associative(flat, x),
+    ):
+        classes = _classes(filter(holds, flats), x)
+        found.append((sum(map(len, classes.values())), len(classes)))
+    assert found == counts
 
 
 def _cyclic_figure(latin_step, greek_step):

@@ -20,6 +20,7 @@ from .model import (
     ValueAssignment,
     _primitive,
     _Record,
+    _brief,
     _check_integer,
     _check_member,
     _reduce,
@@ -274,7 +275,7 @@ def _solve_values(constraints, x: int):
     _check_integer(x, "order")
     if not 1 <= x <= MAX_SOLVE_ORDER:
         raise ValueError(
-            f"assignment enumeration is capped at order {MAX_SOLVE_ORDER}, got {x}"
+            f"assignment enumeration is capped at order {MAX_SOLVE_ORDER}, got {_brief(x)}"
         )
     constraints = tuple(constraints)
     for c in constraints:

@@ -5,13 +5,11 @@ any figure construction, so family output can be checked against it.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from operator import add
 from typing import Iterator
 
 from .construct import _solve_values, diagonal_constraints, magic_figure
-from .model import Square, SuperposedGrid, _Record, _check_order, _rref, _shorten, magic_constant
-from .verify import _flat, _geometry, _is_magic, _picker, _unflat
+from .model import Square, SuperposedGrid, _Record, _brief, _check_order, _rref, magic_constant
+from .verify import _flat, _geometry, _is_magic, _unflat
 
 ORACLE_MAX_ORDER = 4
 
@@ -41,14 +39,23 @@ def _canonical_flat(flat: tuple[int, ...], x: int) -> tuple[int, ...]:
 
     Every image starts with a corner, so the least image starts with the
     least corner value.  When one corner holds it, as in every magic
-    square, only that corner's two images are compared; otherwise all eight.
+    square, only that corner's two images can be least, and each goes on
+    with one of the corner's two neighbours: the smaller neighbour picks
+    the image, and only on a tie are both built and compared.  When the
+    least corner value repeats, all eight images are compared.
     """
     geometry = _geometry(x)
     corners = geometry.corner_picker(flat)
     least = min(corners)
     if corners.count(least) == 1:
-        first, second = geometry.corner_pickers[corners.index(least)]
-        return min(first(flat), second(flat))
+        corner = corners.index(least)
+        first, second = geometry.corner_neighbours[corner]
+        pick_first, pick_second = geometry.corner_pickers[corner]
+        if flat[first] < flat[second]:
+            return pick_first(flat)
+        if flat[second] < flat[first]:
+            return pick_second(flat)
+        return min(pick_first(flat), pick_second(flat))
     return min(pick(flat) for pick in geometry.symmetry_pickers)
 
 
@@ -59,7 +66,12 @@ def _classes(flats, x: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     """
     classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for flat in flats:
-        classes.setdefault(_canonical_flat(flat, x), []).append(flat)
+        key = _canonical_flat(flat, x)
+        members = classes.get(key)
+        if members is None:
+            classes[key] = [flat]
+        else:
+            members.append(flat)
     return classes
 
 
@@ -76,28 +88,47 @@ class FamilyCensus(_Record):
     squares_distinct_dihedral: int
 
 
+def _builder_source(figure: SuperposedGrid) -> str:
+    """A figure's squares as the source of build(values, is_magic, refuse).
+
+    For each (latin, greek) pair of value tuples, build unpacks the values
+    into the locals a0.. and b0.. and writes the row-major square as one
+    tuple display with a{l} + b{g} for a cell holding letters l and g, for
+    example (a0 + b1, a1 + b2, a2 + b0, ...) at order 3.  It passes a
+    square that is_magic refuses to refuse(latin, greek), and yields the rest.
+    """
+    x = figure.order
+    cells = "".join(f"a{l} + b{g}, " for l, g in _flat(figure.cells))
+    return (
+        "def build(values, is_magic, refuse):\n"
+        "    for latin, greek in values:\n"
+        f"        {''.join(f'a{k}, ' for k in range(x))}= latin\n"
+        f"        {''.join(f'b{k}, ' for k in range(x))}= greek\n"
+        f"        flat = ({cells})\n"
+        "        if not is_magic(flat): refuse(latin, greek)\n"
+        "        yield flat\n"
+    )
+
+
 def _figure_cells(figure: SuperposedGrid, family_id: str) -> Iterator[tuple[int, ...]]:
     """Row-major cells of the squares a figure makes, each audited by _is_magic.
 
-    Each cell is its Latin letter's value plus its Greek letter's: the
-    figure's two letter grids are pickers over the value tuples, each
-    remembered for this call (an alphabet has at most x! value tuples),
-    and a square is the cellwise sum of the two picks.
+    Each cell is its Latin letter's value plus its Greek letter's.  The
+    figure is compiled, on each call, into one generator (_builder_source)
+    that runs over the solver's value pairs in their order.
     """
     constraints = diagonal_constraints(figure)
     x = figure.order
-    is_magic = _geometry(x).is_magic
-    pairs = _flat(figure.cells)
-    pick_latin = lru_cache(maxsize=None)(_picker(tuple(l for l, _ in pairs)))
-    pick_greek = lru_cache(maxsize=None)(_picker(tuple(g for _, g in pairs)))
-    for latin, greek in _solve_values(constraints, x):
-        flat = tuple(map(add, pick_latin(latin), pick_greek(greek)))
-        if not is_magic(flat):
-            raise AssertionError(
-                f"family {family_id} produced a non-magic square for latin values "
-                f"{latin} and greek values {greek}; constraint extraction is unsound"
-            )
-        yield flat
+
+    def refuse(latin: tuple[int, ...], greek: tuple[int, ...]) -> None:
+        raise AssertionError(
+            f"family {family_id} produced a non-magic square for latin values "
+            f"{latin} and greek values {greek}; constraint extraction is unsound"
+        )
+
+    namespace: dict = {}
+    exec(compile(_builder_source(figure), f"<figure of order {x}>", "exec"), namespace)
+    yield from namespace["build"](_solve_values(constraints, x), _geometry(x).is_magic, refuse)
 
 
 def enumerate_family(family_id: str, variant: str = "c") -> Iterator[Square]:
@@ -291,7 +322,7 @@ def _oracle_flats(x: int) -> set[tuple[int, ...]]:
     """Row-major cells of every order-x magic square; see oracle_search."""
     _check_order(x)
     if x > ORACLE_MAX_ORDER:
-        raise ValueError(f"exhaustive search is capped at order {ORACLE_MAX_ORDER}, got {_shorten(str(x))}")
+        raise ValueError(f"exhaustive search is capped at order {ORACLE_MAX_ORDER}, got {_brief(x)}")
     return {pick(flat) for flat in _frenicle_flats(x) for pick in _geometry(x).symmetry_pickers}
 
 

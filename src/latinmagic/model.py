@@ -91,7 +91,7 @@ class SymbolId(_Record):
         _check_member(self.role, Role, "role")
         _check_integer(self.index, "symbol index")
         if self.index < 0:
-            raise ValueError(f"symbol index must be >= 0, got {self.index}")
+            raise ValueError(f"symbol index must be >= 0, got {_brief(self.index)}")
 
     @property
     def letter(self) -> str:
@@ -108,10 +108,28 @@ def _shorten(token: str) -> str:
     return token if len(token) <= 40 else f"{token[:16]}...{token[-16:]}"
 
 
+def _brief(value) -> str:
+    """_shorten(repr(value)), for a message, whatever the interpreter's digit limit.
+
+    The limit is at least 640 digits, so an int under 2,000 bits converts
+    whole; a longer one is shown from its first and last 16 characters
+    alone, computed by division, never converted whole.
+    """
+    if not isinstance(value, int) or value.bit_length() < 2000:
+        return _shorten(repr(value))
+    sign = "-" if value < 0 else ""
+    value = abs(value)
+    digits = (value.bit_length() - 1) * 30103 // 100000  # never more than its digit count
+    while 10 ** digits <= value:
+        digits += 1
+    head = value // 10 ** (digits - 16 + len(sign))
+    return f"{sign}{head}...{value % 10 ** 16:016d}"
+
+
 def _check_member(value, enum: type[Enum], what: str) -> None:
     if not isinstance(value, enum):
         known = ", ".join(f"{enum.__name__}.{m.name}" for m in enum)
-        raise ValueError(f"{what} must be one of {known}, got {_shorten(repr(value))}")
+        raise ValueError(f"{what} must be one of {known}, got {_brief(value)}")
 
 
 def _check_integer(value, what: str) -> None:
@@ -122,7 +140,7 @@ def _check_integer(value, what: str) -> None:
 
 def _shown(values) -> str:
     """values shown as a list, with each long value shortened."""
-    return "[" + ", ".join(_shorten(repr(v)) for v in values) + "]"
+    return "[" + ", ".join(map(_brief, values)) + "]"
 
 
 def _check_square(cells: tuple, what: str) -> int:
@@ -142,7 +160,7 @@ def _check_index(idx, i: int, j: int, order: int) -> None:
     if not isinstance(idx, int) or isinstance(idx, bool):
         raise ValueError(f"cell ({i}, {j}) is not an integer index")
     if not 0 <= idx < order:
-        raise ValueError(f"cell ({i}, {j}) index {idx} outside 0..{order - 1}")
+        raise ValueError(f"cell ({i}, {j}) index {_brief(idx)} outside 0..{order - 1}")
 
 
 class SymbolGrid(_Record):
@@ -263,7 +281,7 @@ class Square(_Record):
 def _check_order(x: int) -> None:
     _check_integer(x, "order")
     if x < 1:
-        raise ValueError(f"order must be >= 1, got {_shorten(str(x))}")
+        raise ValueError(f"order must be >= 1, got {_brief(x)}")
 
 
 def magic_constant(x: int) -> int:
@@ -277,7 +295,7 @@ def decompose(k: int, x: int) -> tuple[int, int]:
     _check_order(x)
     _check_integer(k, "value")
     if not 1 <= k <= x * x:
-        raise ValueError(f"value {k} outside 1..{x * x}")
+        raise ValueError(f"value {_brief(k)} outside 1..{_brief(x * x)}")
     m = (k - 1) // x
     n = k - m * x
     return m, n
@@ -289,9 +307,9 @@ def compose(m: int, n: int, x: int) -> int:
     _check_integer(m, "multiple part")
     _check_integer(n, "unit part")
     if not 0 <= m <= x - 1:
-        raise ValueError(f"multiple part {m} outside 0..{x - 1}")
+        raise ValueError(f"multiple part {_brief(m)} outside 0..{_brief(x - 1)}")
     if not 1 <= n <= x:
-        raise ValueError(f"unit part {n} outside 1..{x}")
+        raise ValueError(f"unit part {_brief(n)} outside 1..{_brief(x)}")
     return m * x + n
 
 

@@ -21,6 +21,7 @@ from .model import (
     SymbolGrid,
     SymbolId,
     _Record,
+    _brief,
     _check_integer,
     _check_member,
     _check_order,
@@ -79,7 +80,7 @@ def line_positions(line: LineId, x: int) -> tuple[tuple[int, int], ...]:
     """Row-major cell positions belonging to the given line."""
     _check_order(x)
     if line.kind in (LineKind.ROW, LineKind.COLUMN) and not 0 <= line.index < x:
-        raise ValueError(f"line index {line.index} outside 0..{x - 1}")
+        raise ValueError(f"line index {_brief(line.index)} outside 0..{_brief(x - 1)}")
     if line.kind is LineKind.ROW:
         return tuple((line.index, j) for j in range(x))
     if line.kind is LineKind.COLUMN:
@@ -115,14 +116,16 @@ class _Geometry:
     corners: the four corner cells (top-left, top-right, bottom-left,
     bottom-right), which corner_picker reads; corner_pickers holds, per
     corner, the symmetry pickers whose image starts with it: two from
-    order 2 on, all eight at order 1.
+    order 2 on, all eight at order 1.  From order 2 on,
+    corner_neighbours holds, per corner, the second cell of each of
+    those two images: the corner's two neighbours on its row and column.
     is_magic: the compiled audit.
 
     Only the lines and corners are built with the table; the symmetries,
-    mirrors, their pickers and the audit are built on first use, since
-    verify_magic reads the table at any order and never reads them: eight
-    tables of x*x indices cost about half of verify_magic's time and
-    memory on a large square.
+    mirrors, their pickers, the corner neighbours and the audit are built
+    on first use, since verify_magic reads the table at any order and
+    never reads them: eight tables of x*x indices cost about half of
+    verify_magic's time and memory on a large square.
     """
 
     def __init__(self, x: int) -> None:
@@ -171,6 +174,13 @@ class _Geometry:
     def corner_pickers(self) -> tuple[tuple[_Pick, ...], ...]:
         return tuple(
             tuple(pick for sym, pick in zip(self.symmetries, self.symmetry_pickers) if sym[0] == corner)
+            for corner in self.corners
+        )
+
+    @cached_property
+    def corner_neighbours(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(sym[1] for sym in self.symmetries if sym[0] == corner)
             for corner in self.corners
         )
 

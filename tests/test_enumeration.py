@@ -12,6 +12,7 @@ from latinmagic import (
     FamilyCensus,
     Square,
     SuperposedGrid,
+    ValueAssignment,
     Verdict,
     canonicalize,
     census,
@@ -19,6 +20,7 @@ from latinmagic import (
     dihedral_images,
     editor_square,
     enumerate_family,
+    evaluate,
     magic_figure,
     oracle_search,
     subset_check,
@@ -36,7 +38,8 @@ from latinmagic.enumeration import (
     _oracle_plan,
     _oracle_source,
 )
-from latinmagic.verify import _flat, _unflat
+from latinmagic.construct import _solve_values
+from latinmagic.verify import _flat, _geometry, _unflat
 from helpers import GOLDENS, load_square
 
 LO_SHU_CELLS = ((2, 9, 4), (7, 5, 3), (6, 1, 8))
@@ -257,6 +260,91 @@ def test_census_invariants():
         assert result.squares_distinct <= result.assignments_total
         assert result.squares_distinct_dihedral <= result.squares_distinct
         assert result.squares_distinct_dihedral * 8 >= result.squares_distinct
+
+
+def _plain_least(flat, x):
+    """The least of the eight images, each built and compared."""
+    return min(pick(flat) for pick in _geometry(x).symmetry_pickers)
+
+
+@pytest.mark.parametrize("x", [3, 4])
+def test_class_key_is_the_plain_least_image_of_every_oracle_square(x):
+    for flat in _oracle_flats(x):
+        assert _canonical_flat(flat, x) == _plain_least(flat, x)
+
+
+def test_class_key_is_the_plain_least_image_of_every_family_square():
+    for family_id, variant in _enumerable():
+        figure = magic_figure(family_id, variant)
+        for flat in _figure_cells(figure, family_id):
+            assert _canonical_flat(flat, figure.order) == _plain_least(flat, figure.order)
+
+
+def _inward_neighbours(cell, x):
+    """A corner's neighbour along its row, then along its column."""
+    i, j = divmod(cell, x)
+    step_i, step_j = (1 if i == 0 else -1), (1 if j == 0 else -1)
+    return cell + step_j, cell + step_i * x
+
+
+@st.composite
+def corner_ties(draw):
+    """An order 1-6 grid of repeating values whose least corner value is
+    either held by one corner whose two neighbours may tie, or repeated."""
+    x = draw(st.integers(1, 6))
+    flat = draw(st.lists(st.integers(0, 3), min_size=x * x, max_size=x * x))
+    least = draw(st.lists(st.sampled_from(_geometry(x).corners), min_size=1, max_size=4, unique=True))
+    for cell in least:
+        flat[cell] = -1
+    if x > 1 and len(least) == 1 and draw(st.booleans()):
+        first, second = _inward_neighbours(least[0], x)
+        flat[second] = flat[first]
+    return x, tuple(flat)
+
+
+@given(corner_ties())
+def test_class_key_is_the_plain_least_image_with_tied_neighbours_or_corners(case):
+    x, flat = case
+    assert _canonical_flat(flat, x) == _plain_least(flat, x)
+
+
+@pytest.mark.parametrize("x", range(2, 7))
+def test_corner_neighbours_start_the_corner_images(x):
+    geometry = _geometry(x)
+    flat = tuple(range(x * x))
+    for corner, neighbours, pickers in zip(geometry.corners, geometry.corner_neighbours, geometry.corner_pickers):
+        assert set(neighbours) == set(_inward_neighbours(corner, x))
+        assert [pick(flat)[:2] for pick in pickers] == [(corner, n) for n in neighbours]
+
+
+@pytest.mark.parametrize("family_id, variant", list(_enumerable()))
+def test_compiled_builder_matches_evaluate(family_id, variant):
+    figure = magic_figure(family_id, variant)
+    expected = [
+        _flat(evaluate(figure, ValueAssignment(latin, greek)).cells)
+        for latin, greek in _solve_values(diagonal_constraints(figure), figure.order)
+    ]
+    assert list(_figure_cells(figure, family_id)) == expected
+
+
+def test_compiled_builder_of_a_one_cell_figure():
+    assert list(_figure_cells(SuperposedGrid((((0, 0),),)), "one cell")) == [(1,)]
+
+
+def test_compiled_builder_fails_on_its_first_step(monkeypatch):
+    x = 7
+    figure = SuperposedGrid(tuple(tuple(((i + j) % x, (i + 2 * j) % x) for j in range(x)) for i in range(x)))
+    cells = _figure_cells(figure, "order seven")
+    with pytest.raises(ValueError, match="capped at order 6, got 7"):
+        next(cells)
+
+    def failing_extraction(figure):
+        raise RuntimeError("extraction ran")
+
+    monkeypatch.setattr(enumeration, "diagonal_constraints", failing_extraction)
+    cells = _figure_cells(magic_figure("e3.reflect"), "e3.reflect")
+    with pytest.raises(RuntimeError, match="extraction ran"):
+        next(cells)
 
 
 def test_oracle_smallest_orders():

@@ -1,23 +1,31 @@
 """Core types: number splitting, superposition, evaluation."""
 import random
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from latinmagic import (
+    LineId,
+    LineKind,
     Role,
     Square,
     SuperposedGrid,
     SymbolGrid,
+    SymbolId,
     ValueAssignment,
     compose,
     decompose,
     evaluate,
+    line_positions,
     magic_constant,
+    oracle_search,
+    solve_assignments,
     superpose,
     verify_orthogonality,
 )
+from latinmagic.model import _brief, _shorten
 from helpers import GOLDENS, GREEK_3, LATIN_3, letter_grid, pair_grid
 
 EXPECTED_CONSTANTS = {1: 1, 2: 5, 3: 15, 4: 34, 5: 65, 6: 111, 7: 175, 8: 260, 9: 369}
@@ -217,3 +225,65 @@ def test_goldens_have_expected_orders():
         assert square.order in (3, 4, 5, 6)
         if golden.latin_values is not None:
             assert len(golden.latin_values) == square.order
+
+
+@pytest.fixture
+def digit_limit_4300():
+    """The interpreter's default integer limit of 4,300 digits, whatever the environment set."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+HUGE = 10 ** 5000
+HUGE_TEXT = "1000000000000000...0000000000000000"
+MINUS_HUGE_TEXT = "-100000000000000...0000000000000000"
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: decompose(HUGE, 3), f"value {HUGE_TEXT} outside 1..9", id="decompose"),
+    pytest.param(lambda: decompose(0, HUGE), f"value 0 outside 1..{HUGE_TEXT}", id="decompose-order"),
+    pytest.param(lambda: compose(HUGE, 1, 3), f"multiple part {HUGE_TEXT} outside 0..2", id="compose"),
+    pytest.param(lambda: compose(0, HUGE, 3), f"unit part {HUGE_TEXT} outside 1..3", id="compose-unit"),
+    pytest.param(lambda: magic_constant(-HUGE), f"order must be >= 1, got {MINUS_HUGE_TEXT}", id="magic_constant"),
+    pytest.param(
+        lambda: SymbolId(Role.LATIN, -HUGE), f"symbol index must be >= 0, got {MINUS_HUGE_TEXT}", id="SymbolId",
+    ),
+    pytest.param(
+        lambda: line_positions(LineId(LineKind.ROW, HUGE), 3), f"line index {HUGE_TEXT} outside 0..2",
+        id="line_positions",
+    ),
+    pytest.param(
+        lambda: SymbolGrid(Role.LATIN, ((HUGE,),)), f"cell (0, 0) index {HUGE_TEXT} outside 0..0", id="SymbolGrid",
+    ),
+    pytest.param(
+        lambda: ValueAssignment((HUGE, 0, 3), (1, 2, 3)),
+        f"latin values must be a permutation of multiples of 3 (0..6), got [{HUGE_TEXT}, 0, 3]",
+        id="ValueAssignment",
+    ),
+    pytest.param(
+        lambda: next(solve_assignments((), HUGE)),
+        f"assignment enumeration is capped at order 6, got {HUGE_TEXT}",
+        id="solve_assignments",
+    ),
+    pytest.param(
+        lambda: oracle_search(HUGE), f"exhaustive search is capped at order 4, got {HUGE_TEXT}", id="oracle_search",
+    ),
+])
+def test_range_messages_shorten_an_integer_past_the_digit_limit(digit_limit_4300, make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+@given(st.integers(1, 3000).flatmap(lambda d: st.integers(10 ** (d - 1), 10 ** d - 1)), st.sampled_from([1, -1]))
+def test_brief_shows_an_integer_as_shorten_does(magnitude, sign):
+    value = sign * magnitude
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = _shorten(repr(value))
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert _brief(value) == expected

@@ -23,7 +23,7 @@ from .construct import (
     solve_assignments,
 )
 from .enumeration import FamilyCensus, _classes, _figure_cells, _oracle_flats, census
-from .model import Square, ValueAssignment, _Record, _shorten, evaluate
+from .model import Square, ValueAssignment, _Record, _brief, _shorten, evaluate
 from .verify import VerificationReport, Verdict, _flat, verify_magic
 
 
@@ -88,6 +88,13 @@ def _json_integer(literal: str) -> int | _LongInteger:
         return _integer(literal, "")
     except SquareParseError:
         return _LongInteger(literal)
+
+
+def _json_int(value, where: str) -> bool:
+    """Whether a parsed JSON value is an int; an over-cap literal is refused, naming where."""
+    if isinstance(value, _LongInteger):
+        _integer(value.literal, where)
+    return type(value) is int
 
 
 class SquareDocument(_Record):
@@ -158,20 +165,12 @@ def _parse_structured(text: str) -> SquareDocument:
         if not isinstance(row, list):
             raise SquareParseError(f"'cells' row {i} is not a list")
         for j, value in enumerate(row):
-            if isinstance(value, _LongInteger):
-                _integer(value.literal, f"cell ({i}, {j})")
-            if type(value) is not int:
-                raise SquareParseError(
-                    f"cell ({i}, {j}) is not an integer: {_shorten(repr(value))}"
-                )
+            if not _json_int(value, f"cell ({i}, {j})"):
+                raise SquareParseError(f"cell ({i}, {j}) is not an integer: {_brief(value)}")
         cells.append(tuple(row))
     order = data.get("order", len(cells))
-    if isinstance(order, _LongInteger):
-        _integer(order.literal, "'order'")
-    if type(order) is not int or order != len(cells):
-        raise SquareParseError(
-            f"'order' is {_shorten(repr(order))} but 'cells' has {len(cells)} rows"
-        )
+    if not _json_int(order, "'order'") or order != len(cells):
+        raise SquareParseError(f"'order' is {_brief(order)} but 'cells' has {len(cells)} rows")
     for i, row in enumerate(cells):
         if len(row) != order:
             raise SquareParseError(
@@ -182,12 +181,12 @@ def _parse_structured(text: str) -> SquareDocument:
     if "family" in data:
         if not isinstance(family, str):
             raise SquareParseError(
-                f"'family' must be a string, got {_shorten(repr(family))}"
+                f"'family' must be a string, got {_brief(family)}"
             )
         if family not in FAMILIES:
             known = ", ".join(FAMILIES)
             raise SquareParseError(
-                f"'family' {_shorten(repr(family))} is not a known family "
+                f"'family' {_brief(family)} is not a known family "
                 f"(known: {known})"
             )
         if FAMILIES[family].order != order:
@@ -223,10 +222,10 @@ def _letter_values(data: dict, key: str, order: int) -> tuple[int, ...] | None:
     if key not in data:
         return None
     values = data[key]
-    for k, value in enumerate(values if isinstance(values, list) else ()):
-        if isinstance(value, _LongInteger):
-            _integer(value.literal, f"'{key}' value {k}")
-    if not isinstance(values, list) or any(type(v) is not int for v in values):
+    # a list, not a generator: every over-cap literal is refused before a non-integer
+    if not isinstance(values, list) or not all(
+        [_json_int(v, f"'{key}' value {k}") for k, v in enumerate(values)]
+    ):
         raise SquareParseError(f"'{key}' must be a list of integers")
     if len(values) != order:
         raise SquareParseError(
@@ -259,7 +258,7 @@ def _provenance_mismatch(doc: SquareDocument) -> str | None:
     )
     return (
         f"cells do not match family {doc.family} with the given letter "
-        f"values: cell ({i}, {j}) is {_shorten(str(doc.cells[i][j]))}, expected {built[i][j]}"
+        f"values: cell ({i}, {j}) is {_brief(doc.cells[i][j])}, expected {built[i][j]}"
     )
 
 

@@ -25,7 +25,6 @@ from .model import (
     _check_member,
     _reduce,
     _rref,
-    _shorten,
     evaluate,
     superpose,
 )
@@ -137,7 +136,7 @@ class LinearConstraint(_Record):
             for k, c in enumerate(coeffs):
                 if not isinstance(c, int) or isinstance(c, bool):
                     raise ValueError(
-                        f"{side} coefficient {k} is not an integer: {_shorten(repr(c))}"
+                        f"{side} coefficient {k} is not an integer: {_brief(c)}"
                     )
         if len(latin) != len(greek):
             raise ValueError("latin and greek coefficient lists differ in length")
@@ -453,7 +452,7 @@ def family_figure(family_id: str, variant: str = "c") -> SuperposedGrid:
     family = FAMILIES.get(family_id)
     if family is None:
         known = ", ".join(FAMILIES)
-        raise ValueError(f"unknown family {_shorten(repr(family_id))} (known: {known})")
+        raise ValueError(f"unknown family {_brief(family_id)} (known: {known})")
     if not family.figures:
         raise ValueError(
             f"{family_id} is a fixed square, not enumerable; use gen without "
@@ -461,7 +460,7 @@ def family_figure(family_id: str, variant: str = "c") -> SuperposedGrid:
         )
     if variant not in family.figures:
         raise ValueError(
-            f"variant {_shorten(repr(variant))} does not apply to {family_id} "
+            f"variant {_brief(variant)} does not apply to {family_id} "
             f"(variants: {', '.join(family.figures)})"
         )
     return family.figures[variant]

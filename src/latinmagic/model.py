@@ -98,13 +98,14 @@ class SymbolId(_Record):
         table = LATIN_LETTERS if self.role is Role.LATIN else GREEK_LETTERS
         if self.index < len(table):
             return table[self.index]
-        return f"{self.role.value}{self.index}"
+        return f"{self.role.value}{_brief(self.index)}"
 
     def __str__(self) -> str:
         return self.letter
 
 
 def _shorten(token: str) -> str:
+    """Text the caller typed, for a message; a value goes through _brief."""
     return token if len(token) <= 40 else f"{token[:16]}...{token[-16:]}"
 
 
@@ -135,7 +136,7 @@ def _check_member(value, enum: type[Enum], what: str) -> None:
 def _check_integer(value, what: str) -> None:
     """Refuse anything but an int that is not a bool, naming what it is."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {_shorten(repr(value))}")
+        raise ValueError(f"{what} must be an integer, got {_brief(value)}")
 
 
 def _shown(values) -> str:
@@ -241,7 +242,7 @@ class ValueAssignment(_Record):
         for side, values in (("latin", latin), ("greek", greek)):
             for k, v in enumerate(values):
                 if not isinstance(v, int) or isinstance(v, bool):
-                    raise ValueError(f"{side} value {k} is not an integer: {_shorten(repr(v))}")
+                    raise ValueError(f"{side} value {k} is not an integer: {_brief(v)}")
         if sorted(latin) != list(range(0, x * x, x)):
             raise ValueError(
                 f"latin values must be a permutation of multiples of {x} "

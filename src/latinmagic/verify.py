@@ -57,7 +57,7 @@ class LineId(_Record):
 
     def __str__(self) -> str:
         if self.kind in (LineKind.ROW, LineKind.COLUMN):
-            return f"{self.kind.value} {self.index}"
+            return f"{self.kind.value} {_brief(self.index)}"
         return self.kind.value
 
 

@@ -309,6 +309,19 @@ def test_one_digit_over_the_cap_is_refused_with_its_place(capsys, monkeypatch, t
     assert err == f"error: integer at {where} has 4301 digits, more than 4300: {'9' * 16}...{'9' * 16}\n"
 
 
+def test_an_over_cap_letter_value_is_refused_before_a_non_integer_ahead_of_it(capsys, monkeypatch, tmp_path):
+    document = (
+        '{"cells": [[2, 9, 4], [7, 5, 3], [6, 1, 8]], "family": "e3.reflect", '
+        f'"latin_values": ["x", {OVER_CAP}, 3], "greek_values": [1, 3, 2]}}'
+    ).encode()
+    code, out, err = verify_bytes(capsys, monkeypatch, tmp_path, document, "stdin")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: integer at 'latin_values' value 1 has 4301 digits, more than 4300: "
+        f"{'9' * 16}...{'9' * 16}\n"
+    )
+
+
 # a long literal where no integer check reaches it is shown by its length
 @pytest.mark.parametrize(
     "document, message",

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from latinmagic import (
+    FAMILIES,
     LineId,
     LineKind,
     Role,
@@ -15,13 +16,20 @@ from latinmagic import (
     SymbolGrid,
     SymbolId,
     ValueAssignment,
+    build_square,
+    census,
     compose,
     decompose,
+    enumerate_family,
     evaluate,
+    family_figure,
     line_positions,
     magic_constant,
+    magic_figure,
     oracle_search,
+    pair_name,
     solve_assignments,
+    subset_check,
     superpose,
     verify_orthogonality,
 )
@@ -239,6 +247,7 @@ def digit_limit_4300():
 HUGE = 10 ** 5000
 HUGE_TEXT = "1000000000000000...0000000000000000"
 MINUS_HUGE_TEXT = "-100000000000000...0000000000000000"
+UNKNOWN_HUGE = f"unknown family {HUGE_TEXT} (known: {', '.join(FAMILIES)})"
 
 
 @pytest.mark.parametrize("make, message", [
@@ -270,11 +279,35 @@ MINUS_HUGE_TEXT = "-100000000000000...0000000000000000"
     pytest.param(
         lambda: oracle_search(HUGE), f"exhaustive search is capped at order 4, got {HUGE_TEXT}", id="oracle_search",
     ),
+    pytest.param(lambda: family_figure(HUGE), UNKNOWN_HUGE, id="family_figure"),
+    pytest.param(
+        lambda: family_figure(-HUGE),
+        f"unknown family {MINUS_HUGE_TEXT} (known: {', '.join(FAMILIES)})",
+        id="family_figure-negative",
+    ),
+    pytest.param(
+        lambda: family_figure("e3.reflect", HUGE),
+        f"variant {HUGE_TEXT} does not apply to e3.reflect (variants: c)",
+        id="family_figure-variant",
+    ),
+    pytest.param(lambda: magic_figure(HUGE), UNKNOWN_HUGE, id="magic_figure"),
+    pytest.param(lambda: census(HUGE), UNKNOWN_HUGE, id="census"),
+    pytest.param(lambda: next(enumerate_family(HUGE)), UNKNOWN_HUGE, id="enumerate_family"),
+    pytest.param(
+        lambda: build_square(HUGE, ValueAssignment((0, 6, 3), (1, 3, 2))), UNKNOWN_HUGE, id="build_square",
+    ),
+    pytest.param(lambda: subset_check(HUGE, set()), UNKNOWN_HUGE, id="subset_check"),
 ])
 def test_range_messages_shorten_an_integer_past_the_digit_limit(digit_limit_4300, make, message):
     with pytest.raises(ValueError) as info:
         make()
     assert str(info.value) == message
+
+
+def test_letter_and_line_names_shorten_an_index_past_the_digit_limit(digit_limit_4300):
+    assert SymbolId(Role.LATIN, HUGE).letter == f"latin{HUGE_TEXT}"
+    assert str(LineId(LineKind.ROW, HUGE)) == f"row {HUGE_TEXT}"
+    assert pair_name((HUGE, 0)) == f"latin{HUGE_TEXT}α"
 
 
 @given(st.integers(1, 3000).flatmap(lambda d: st.integers(10 ** (d - 1), 10 ** d - 1)), st.sampled_from([1, -1]))

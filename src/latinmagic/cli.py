@@ -22,7 +22,7 @@ from .construct import (
     magic_figure,
     solve_assignments,
 )
-from .enumeration import FamilyCensus, _classes, _figure_cells, _oracle_flats, census
+from .enumeration import FamilyCensus, _figure_cells, _figure_classes, _oracle_classes, census
 from .model import Square, ValueAssignment, _Record, _brief, _shorten, evaluate
 from .verify import VerificationReport, Verdict, _flat, verify_magic
 
@@ -451,10 +451,8 @@ def _cmd_enumerate(args) -> int:
         print(render(census(args.family, variant=args.variant), args.format))
         return 0
     figure = magic_figure(args.family, args.variant)
-    flats = _figure_cells(figure, args.family)
-    if args.dedup == "dihedral":
-        flats = [members[0] for members in _classes(flats, figure.order).values()]
-    _print_squares(flats, args.format, {"family": args.family})
+    listed = _figure_classes if args.dedup == "dihedral" else _figure_cells
+    _print_squares(listed(figure, args.family), args.format, {"family": args.family})
     return 0
 
 
@@ -470,11 +468,11 @@ def _cmd_constraints(args) -> int:
 
 def _cmd_oracle(args) -> int:
     order = _integer(args.order, "--order")
-    flats = _oracle_flats(order)
+    classes = _oracle_classes(order)
     if args.count_only:
-        print(_counts_text([("order", "order", order), ("count", "squares", len(flats))], args.format))
+        count = sum(map(len, classes.values()))
+        print(_counts_text([("order", "order", order), ("count", "squares", count)], args.format))
         return 0
-    classes = _classes(flats, order)
     ordered = [flat for key in sorted(classes) for flat in sorted(classes[key])]
     _print_squares(ordered, args.format, {"order": order})
     return 0

@@ -9,7 +9,7 @@ from typing import Iterator
 
 from .construct import _solve_values, diagonal_constraints, magic_figure
 from .model import Square, SuperposedGrid, _Record, _brief, _check_order, _rref, magic_constant
-from .verify import _flat, _geometry, _is_magic, _unflat
+from .verify import _flat, _geometry, _is_magic, _picker, _unflat
 
 ORACLE_MAX_ORDER = 4
 
@@ -35,34 +35,15 @@ class CanonicalSquare(_Record):
 
 
 def _canonical_flat(flat: tuple[int, ...], x: int) -> tuple[int, ...]:
-    """The least of the eight images of row-major cells, as row-major cells.
-
-    Every image starts with a corner, so the least image starts with the
-    least corner value.  When one corner holds it, as in every magic
-    square, only that corner's two images can be least, and each goes on
-    with one of the corner's two neighbours: the smaller neighbour picks
-    the image, and only on a tie are both built and compared.  When the
-    least corner value repeats, all eight images are compared.
-    """
-    geometry = _geometry(x)
-    corners = geometry.corner_picker(flat)
-    least = min(corners)
-    if corners.count(least) == 1:
-        corner = corners.index(least)
-        first, second = geometry.corner_neighbours[corner]
-        pick_first, pick_second = geometry.corner_pickers[corner]
-        if flat[first] < flat[second]:
-            return pick_first(flat)
-        if flat[second] < flat[first]:
-            return pick_second(flat)
-        return min(pick_first(flat), pick_second(flat))
-    return min(pick(flat) for pick in geometry.symmetry_pickers)
+    """The least of the eight images of row-major cells, as row-major cells."""
+    return min(pick(flat) for pick in _geometry(x).symmetry_pickers)
 
 
 def _classes(flats, x: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     """Row-major order-x squares grouped by class key, _canonical_flat.
 
-    Keys and each key's members come in first-seen order.
+    Keys and each key's members come in first-seen order.  The keyed
+    reference for _automorphisms and _oracle_classes.
     """
     classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for flat in flats:
@@ -131,6 +112,37 @@ def _figure_cells(figure: SuperposedGrid, family_id: str) -> Iterator[tuple[int,
     yield from namespace["build"](_solve_values(constraints, x), _geometry(x).is_magic, refuse)
 
 
+def _automorphisms(figure: SuperposedGrid) -> set[tuple[int, ...]]:
+    """The distinct _Geometry.symmetries (one at order 1) that map a figure
+    to itself with each alphabet renamed.
+
+    These map the figure's squares onto each other, as a value splits one
+    way only into a Latin and a Greek value.  From order 2 on only the
+    identity fixes a square of distinct values, so each class holds one of
+    the figure's squares per automorphism.
+    """
+    x = figure.order
+    pairs = _flat(figure.cells)
+    return {
+        sym for sym in _geometry(x).symmetries
+        if all(len({(p[r], pairs[k][r]) for p, k in zip(pairs, sym)}) == x for r in (0, 1))
+    }
+
+
+def _figure_classes(figure: SuperposedGrid, family_id: str) -> Iterator[tuple[int, ...]]:
+    """The first square of each dihedral class a figure makes, in _figure_cells order.
+
+    A square is skipped when it is an image of an earlier one under the
+    figure's automorphisms.
+    """
+    pickers = [_picker(sym) for sym in _automorphisms(figure)]
+    seen: set[tuple[int, ...]] = set()
+    for flat in _figure_cells(figure, family_id):
+        if flat not in seen:
+            seen.update(pick(flat) for pick in pickers)
+            yield flat
+
+
 def enumerate_family(family_id: str, variant: str = "c") -> Iterator[Square]:
     """All squares a family can produce, one per satisfying assignment.
 
@@ -145,14 +157,14 @@ def enumerate_family(family_id: str, variant: str = "c") -> Iterator[Square]:
 
 
 def census(family_id: str, variant: str = "c") -> FamilyCensus:
-    """Counts for a family: assignments, distinct squares, dihedral classes."""
+    """Counts for a family: assignments, distinct squares, dihedral classes (_automorphisms)."""
     figure = magic_figure(family_id, variant)
     flats = list(_figure_cells(figure, family_id))
     return FamilyCensus(
         family_id=family_id,
         assignments_total=len(flats),
         squares_distinct=len(set(flats)),
-        squares_distinct_dihedral=len(_classes(flats, figure.order)),
+        squares_distinct_dihedral=len(flats) // len(_automorphisms(figure)),
     )
 
 
@@ -318,12 +330,17 @@ def _frenicle_flats(x: int) -> list[tuple[int, ...]]:
     return flats
 
 
-def _oracle_flats(x: int) -> set[tuple[int, ...]]:
-    """Row-major cells of every order-x magic square; see oracle_search."""
+def _oracle_classes(x: int) -> dict[tuple[int, ...], set[tuple[int, ...]]]:
+    """Every order-x magic square by class, keyed by its Frénicle form; see oracle_search."""
     _check_order(x)
     if x > ORACLE_MAX_ORDER:
         raise ValueError(f"exhaustive search is capped at order {ORACLE_MAX_ORDER}, got {_brief(x)}")
-    return {pick(flat) for flat in _frenicle_flats(x) for pick in _geometry(x).symmetry_pickers}
+    return {form: {pick(form) for pick in _geometry(x).symmetry_pickers} for form in _frenicle_flats(x)}
+
+
+def _oracle_flats(x: int) -> set[tuple[int, ...]]:
+    """Row-major cells of every order-x magic square; see oracle_search."""
+    return set().union(*_oracle_classes(x).values())
 
 
 def oracle_search(x: int) -> set[Square]:

@@ -110,22 +110,19 @@ class _Geometry:
     line_ids: all_lines(x).
     lines: the same lines as flat indices; line_pickers read them.
     symmetries: the eight rotations and reflections in dihedral_images
-    order, each as the source cell of every image cell.  symmetry_pickers
-    apply them to flat cells.
+    order, each as the source cell of every image cell; a figure's
+    automorphisms are chosen from them.  symmetry_pickers apply them to
+    flat cells.
     mirrors: the reflection across each Axis, as one of the symmetries.
     corners: the four corner cells (top-left, top-right, bottom-left,
-    bottom-right), which corner_picker reads; corner_pickers holds, per
-    corner, the symmetry pickers whose image starts with it: two from
-    order 2 on, all eight at order 1.  From order 2 on,
-    corner_neighbours holds, per corner, the second cell of each of
-    those two images: the corner's two neighbours on its row and column.
+    bottom-right), which the oracle fills first.
     is_magic: the compiled audit.
 
     Only the lines and corners are built with the table; the symmetries,
-    mirrors, their pickers, the corner neighbours and the audit are built
-    on first use, since verify_magic reads the table at any order and
-    never reads them: eight tables of x*x indices cost about half of
-    verify_magic's time and memory on a large square.
+    mirrors, their pickers and the audit are built on first use, since
+    verify_magic reads the table at any order and never reads them: eight
+    tables of x*x indices cost about half of verify_magic's time and
+    memory on a large square.
     """
 
     def __init__(self, x: int) -> None:
@@ -141,7 +138,6 @@ class _Geometry:
         )
         self.line_pickers = tuple(map(_picker, self.lines))
         self.corners = (0, x - 1, x * x - x, x * x - 1)
-        self.corner_picker = _picker(self.corners)
 
     @cached_property
     def symmetries(self) -> tuple[tuple[int, ...], ...]:
@@ -169,20 +165,6 @@ class _Geometry:
             (Axis.MIDDLE_COLUMN, Axis.MAIN_DIAGONAL, Axis.MIDDLE_ROW, Axis.ANTI_DIAGONAL),
             self.symmetries[1::2],
         ))
-
-    @cached_property
-    def corner_pickers(self) -> tuple[tuple[_Pick, ...], ...]:
-        return tuple(
-            tuple(pick for sym, pick in zip(self.symmetries, self.symmetry_pickers) if sym[0] == corner)
-            for corner in self.corners
-        )
-
-    @cached_property
-    def corner_neighbours(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(sym[1] for sym in self.symmetries if sym[0] == corner)
-            for corner in self.corners
-        )
 
     @cached_property
     def is_magic(self) -> Callable[[Sequence[int]], bool]:

@@ -28,12 +28,15 @@ from latinmagic import (
 )
 from latinmagic import enumeration
 from latinmagic.enumeration import (
+    _automorphisms,
     _canonical_flat,
     _classes,
     _figure_cells,
+    _figure_classes,
     _fill_order,
     _forced_cells,
     _frenicle_flats,
+    _oracle_classes,
     _oracle_flats,
     _oracle_plan,
     _oracle_source,
@@ -308,15 +311,6 @@ def test_class_key_is_the_plain_least_image_with_tied_neighbours_or_corners(case
     assert _canonical_flat(flat, x) == _plain_least(flat, x)
 
 
-@pytest.mark.parametrize("x", range(2, 7))
-def test_corner_neighbours_start_the_corner_images(x):
-    geometry = _geometry(x)
-    flat = tuple(range(x * x))
-    for corner, neighbours, pickers in zip(geometry.corners, geometry.corner_neighbours, geometry.corner_pickers):
-        assert set(neighbours) == set(_inward_neighbours(corner, x))
-        assert [pick(flat)[:2] for pick in pickers] == [(corner, n) for n in neighbours]
-
-
 @pytest.mark.parametrize("family_id, variant", list(_enumerable()))
 def test_compiled_builder_matches_evaluate(family_id, variant):
     figure = magic_figure(family_id, variant)
@@ -518,6 +512,73 @@ def test_the_two_cyclic_order_five_figures_make_28800_pandiagonal_squares():
     classes = _classes(made, 5)
     assert len(classes) == 3600
     assert sum(map(_associative, classes)) == 16
+
+
+def _check_orbits(figure, family_id):
+    """Check a figure's orbit count and class listing against the keyed classes;
+    return its automorphism and class counts."""
+    flats = list(_figure_cells(figure, family_id))
+    classes = _classes(flats, figure.order)
+    automorphisms = len(_automorphisms(figure))
+    assert len(classes) * automorphisms == len(flats)
+    assert list(_figure_classes(figure, family_id)) == [members[0] for members in classes.values()]
+    return automorphisms, len(classes)
+
+
+def test_figure_automorphisms_count_and_list_the_keyed_classes():
+    found = {(f, v): _check_orbits(magic_figure(f, v), f)[0] for f, v in _enumerable()}
+    assert found == {
+        ("e3.reflect", "c"): 4, ("e3.rotated", "c"): 4,
+        ("e4.diag", "c"): 4, ("e4.diag", "d"): 4, ("e4.rotated", "c"): 8,
+        ("e4.block", "c"): 4, ("e4.interleave", "c"): 4,
+        ("e5.diag", "c"): 4, ("e5.rotated", "c"): 1, ("e5.center", "c"): 4,
+    }
+
+
+@pytest.mark.parametrize("x, counts", [
+    (3, {4: 2}),
+    (4, {2: 328, 4: 60, 8: 6}),
+], ids=["order 3", "order 4"])
+def test_digit_figure_automorphisms_count_and_list_the_keyed_classes(request, x, counts):
+    groups = _by_digit_figure(request.getfixturevalue(f"oracle{x}"), x)
+    assert Counter(_check_orbits(SuperposedGrid(figure), "digit figure")[0] for figure in groups) == counts
+
+
+def test_cyclic_order_five_figure_automorphisms_count_the_keyed_classes():
+    for figure in (_cyclic_figure(2, 3), _cyclic_figure(3, 2)):
+        assert _check_orbits(figure, "cyclic figure") == (4, 3600)
+
+
+def test_a_one_cell_figure_has_one_automorphism():
+    # its eight symmetries are one cell map; counted as eight, the census
+    # would divide its one square into 0 classes
+    figure = SuperposedGrid((((0, 0),),))
+    assert _geometry(1).symmetries == ((0,),) * 8
+    assert _automorphisms(figure) == {(0,)}
+    assert _check_orbits(figure, "one cell") == (1, 1)
+
+
+@pytest.mark.parametrize("x, total", [(1, 1), (2, 0), (3, 8), (4, 7040)])
+def test_oracle_classes_are_the_keyed_classes(x, total):
+    classes = _oracle_classes(x)
+    keyed = _classes(_oracle_flats(x), x)
+    assert classes == {key: set(members) for key, members in keyed.items()}
+    assert sum(map(len, classes.values())) == total
+
+
+def test_figure_classes_stream_from_the_first_solver_pair(monkeypatch):
+    figure = magic_figure("e5.diag", "c")
+    first = next(_figure_cells(figure, "e5.diag"))
+    drawn = []
+
+    def counting(constraints, x):
+        for pair in _solve_values(constraints, x):
+            drawn.append(pair)
+            yield pair
+
+    monkeypatch.setattr(enumeration, "_solve_values", counting)
+    assert next(_figure_classes(figure, "e5.diag")) == first
+    assert len(drawn) == 1
 
 
 @pytest.mark.parametrize("x, steps", [

@@ -9,7 +9,7 @@ from typing import Iterator
 
 from .construct import _solve_values, diagonal_constraints, magic_figure
 from .model import Square, SuperposedGrid, _Record, _brief, _check_order, _rref, magic_constant
-from .verify import _flat, _geometry, _is_magic, _picker, _unflat
+from .verify import _flat, _geometry, _is_magic, _unflat
 
 ORACLE_MAX_ORDER = 4
 
@@ -69,34 +69,52 @@ class FamilyCensus(_Record):
     squares_distinct_dihedral: int
 
 
-def _builder_source(figure: SuperposedGrid) -> str:
-    """A figure's squares as the source of build(values, is_magic, refuse).
+def _builder_source(figure: SuperposedGrid, renamings) -> str:
+    """A figure's squares as the source of build(pairs, refuse), audited inline.
 
     For each (latin, greek) pair of value tuples, build unpacks the values
-    into the locals a0.. and b0.. and writes the row-major square as one
-    tuple display with a{l} + b{g} for a cell holding letters l and g, for
-    example (a0 + b1, a1 + b2, a2 + b0, ...) at order 3.  It passes a
-    square that is_magic refuses to refuse(latin, greek), and yields the rest.
+    into the locals a0.. and b0.., sets cell k's local c{k} = a{l} + b{g}
+    for its letters l and g, and runs _Geometry.audit_text over those
+    locals (the name values holds 1..x*x); a square that fails goes to
+    refuse(latin, greek).  build then skips the square if some (Latin,
+    Greek) letter renaming (p, r) gives a pair ((a_p0, ...), (b_r0, ...))
+    less than (latin, greek), and yields the rest as row-major tuples.
+    The two pairs first differ at the first letter that p, then r, moves,
+    so each renaming is one comparison of two locals, for example a2 < a0.
     """
     x = figure.order
-    cells = "".join(f"a{l} + b{g}, " for l, g in _flat(figure.cells))
-    return (
-        "def build(values, is_magic, refuse):\n"
-        "    for latin, greek in values:\n"
-        f"        {''.join(f'a{k}, ' for k in range(x))}= latin\n"
-        f"        {''.join(f'b{k}, ' for k in range(x))}= greek\n"
-        f"        flat = ({cells})\n"
-        "        if not is_magic(flat): refuse(latin, greek)\n"
-        "        yield flat\n"
-    )
+    n = x * x
+    lines = [
+        "def build(pairs, refuse):",
+        "    for latin, greek in pairs:",
+        f"        {''.join(f'a{k}, ' for k in range(x))}= latin",
+        f"        {''.join(f'b{k}, ' for k in range(x))}= greek",
+        *(f"        c{k} = a{l} + b{g}" for k, (l, g) in enumerate(_flat(figure.cells))),
+        f"        flat = ({''.join(f'c{k}, ' for k in range(n))})",
+        f"        if not ({_geometry(x).audit_text([f'c{k}' for k in range(n)], 'flat')}):",
+        "            refuse(latin, greek)",
+    ]
+    earlier = []
+    for renaming in renamings:
+        letter, k, p = next(
+            (letter, k, p) for letter, moved in zip("ab", renaming) for k, p in enumerate(moved) if p != k
+        )
+        earlier.append(f"{letter}{p} < {letter}{k}")
+    if earlier:
+        lines.append(f"        if {' or '.join(earlier)}: continue")
+    lines.append("        yield flat")
+    return "\n".join(lines) + "\n"
 
 
-def _figure_cells(figure: SuperposedGrid, family_id: str) -> Iterator[tuple[int, ...]]:
-    """Row-major cells of the squares a figure makes, each audited by _is_magic.
+def _figure_cells(figure: SuperposedGrid, family_id: str, renamings=()) -> Iterator[tuple[int, ...]]:
+    """Row-major cells of the squares a figure makes, each audited inline.
 
     Each cell is its Latin letter's value plus its Greek letter's.  The
     figure is compiled, on each call, into one generator (_builder_source)
-    that runs over the solver's value pairs in their order.
+    that runs over the solver's value pairs in their order and audits
+    every square by the line sums and values of _Geometry.audit_text, the
+    test _is_magic runs, before anything else.  A square is skipped after
+    its audit when one of the letter renamings gives a smaller pair.
     """
     constraints = diagonal_constraints(figure)
     x = figure.order
@@ -107,9 +125,9 @@ def _figure_cells(figure: SuperposedGrid, family_id: str) -> Iterator[tuple[int,
             f"{latin} and greek values {greek}; constraint extraction is unsound"
         )
 
-    namespace: dict = {}
-    exec(compile(_builder_source(figure), f"<figure of order {x}>", "exec"), namespace)
-    yield from namespace["build"](_solve_values(constraints, x), _geometry(x).is_magic, refuse)
+    namespace: dict = {"values": list(range(1, x * x + 1))}
+    exec(compile(_builder_source(figure, renamings), f"<figure of order {x}>", "exec"), namespace)
+    yield from namespace["build"](_solve_values(constraints, x), refuse)
 
 
 def _automorphisms(figure: SuperposedGrid) -> set[tuple[int, ...]]:
@@ -132,15 +150,22 @@ def _automorphisms(figure: SuperposedGrid) -> set[tuple[int, ...]]:
 def _figure_classes(figure: SuperposedGrid, family_id: str) -> Iterator[tuple[int, ...]]:
     """The first square of each dihedral class a figure makes, in _figure_cells order.
 
-    A square is skipped when it is an image of an earlier one under the
-    figure's automorphisms.
+    An automorphism that takes letters (l, g) to (p_l, r_g) maps the square
+    made from (latin, greek) to the one made from ((latin[p_0], ...),
+    (greek[r_0], ...)).  The solver yields the pairs in lexicographic order,
+    and every image of one of its squares is one, so a square has an
+    earlier square in its class exactly when one of the non-identity
+    renamings (p, r) gives a smaller pair: _figure_cells skips it after
+    its audit, and no set of squares already seen is kept.
     """
-    pickers = [_picker(sym) for sym in _automorphisms(figure)]
-    seen: set[tuple[int, ...]] = set()
-    for flat in _figure_cells(figure, family_id):
-        if flat not in seen:
-            seen.update(pick(flat) for pick in pickers)
-            yield flat
+    x = figure.order
+    pairs = _flat(figure.cells)
+    identity = (tuple(range(x)),) * 2
+    renamings = set()
+    for sym in _automorphisms(figure):
+        renamed = [dict((p[r], pairs[k][r]) for p, k in zip(pairs, sym)) for r in (0, 1)]
+        renamings.add(tuple(tuple(names[k] for k in range(x)) for names in renamed))
+    yield from _figure_cells(figure, family_id, sorted(renamings - {identity}))
 
 
 def enumerate_family(family_id: str, variant: str = "c") -> Iterator[Square]:
@@ -157,7 +182,11 @@ def enumerate_family(family_id: str, variant: str = "c") -> Iterator[Square]:
 
 
 def census(family_id: str, variant: str = "c") -> FamilyCensus:
-    """Counts for a family: assignments, distinct squares, dihedral classes (_automorphisms)."""
+    """Counts for a family: assignments, distinct squares, dihedral classes (_automorphisms).
+
+    Every square the solver yields is audited inline (_figure_cells)
+    before it is counted; the classes are the squares over |Aut F|.
+    """
     figure = magic_figure(family_id, variant)
     flats = list(_figure_cells(figure, family_id))
     return FamilyCensus(

@@ -116,7 +116,8 @@ class _Geometry:
     mirrors: the reflection across each Axis, as one of the symmetries.
     corners: the four corner cells (top-left, top-right, bottom-left,
     bottom-right), which the oracle fills first.
-    is_magic: the compiled audit.
+    audit_text: the audit as one expression over named cells; is_magic:
+    it compiled over a tuple.
 
     Only the lines and corners are built with the table; the symmetries,
     mirrors, their pickers and the audit are built on first use, since
@@ -166,23 +167,31 @@ class _Geometry:
             self.symmetries[1::2],
         ))
 
-    @cached_property
-    def is_magic(self) -> Callable[[Sequence[int]], bool]:
-        """One straight-line check of every line sum, then of the values 1..x*x.
+    def audit_text(self, cells: Sequence[str], flat: str) -> str:
+        """The magic test as one expression: every line sum, then the values.
 
-        The line part is compiled from self.lines, for example
-        f[0]+f[1]+f[2] == 15 and ... at order 3.  With its 2x*x + 2x terms
-        it takes 0.16 s to compile at order 100, so it is built on the
-        first audit of an order, not with the table, which verify_magic
-        reads at any order.
+        cells[k] is the text of cell k and flat that of the row-major cells;
+        the values 1..x*x are read from the name values.  For example
+        f[0]+f[1]+f[2] == 15 and ... and sorted(f) == values at order 3.
+        is_magic and the enumeration's figure builders run this one text.
         """
-        x = self.order
         sums = " and ".join(
-            f"{'+'.join(f'f[{k}]' for k in line)} == {magic_constant(x)}"
+            f"{'+'.join(cells[k] for k in line)} == {magic_constant(self.order)}"
             for line in self.lines
         )
-        values = list(range(1, x * x + 1))
-        return eval(f"lambda f: {sums} and sorted(f) == values", {"values": values})
+        return f"{sums} and sorted({flat}) == values"
+
+    @cached_property
+    def is_magic(self) -> Callable[[Sequence[int]], bool]:
+        """audit_text over f[k] as a function of the row-major cells f.
+
+        With its 2x*x + 2x terms it takes 0.16 s to compile at order 100,
+        so it is built on the first audit of an order, not with the table,
+        which verify_magic reads at any order.
+        """
+        n = self.order * self.order
+        test = self.audit_text([f"f[{k}]" for k in range(n)], "f")
+        return eval(f"lambda f: {test}", {"values": list(range(1, n + 1))})
 
 
 @lru_cache(maxsize=None)

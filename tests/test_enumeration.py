@@ -1,6 +1,7 @@
 """Symmetry reduction, family censuses, and the exhaustive oracle."""
 import hashlib
 import itertools
+import re
 from collections import Counter
 
 import pytest
@@ -42,7 +43,7 @@ from latinmagic.enumeration import (
     _oracle_source,
 )
 from latinmagic.construct import _solve_values
-from latinmagic.verify import _flat, _geometry, _unflat
+from latinmagic.verify import _flat, _geometry, _picker, _unflat
 from helpers import GOLDENS, load_square
 
 LO_SHU_CELLS = ((2, 9, 4), (7, 5, 3), (6, 1, 8))
@@ -579,6 +580,86 @@ def test_figure_classes_stream_from_the_first_solver_pair(monkeypatch):
     monkeypatch.setattr(enumeration, "_solve_values", counting)
     assert next(_figure_classes(figure, "e5.diag")) == first
     assert len(drawn) == 1
+
+
+def _image_pairs(figure, latin, greek):
+    """The (latin, greek) values of the images of the square made from
+    latin and greek under the figure's automorphisms, read back off the
+    image's cells: cell value v holds Latin value (v-1)//x*x and Greek
+    value (v-1)%x + 1."""
+    x = figure.order
+    pairs = _flat(figure.cells)
+    flat = tuple(latin[l] + greek[g] for l, g in pairs)
+    images = set()
+    for sym in _automorphisms(figure):
+        values = ({}, {})
+        for (l, g), v in zip(pairs, _picker(sym)(flat)):
+            values[0][l], values[1][g] = (v - 1) // x * x, (v - 1) % x + 1
+        images.add(tuple(tuple(named[k] for k in range(x)) for named in values))
+    return images
+
+
+@pytest.mark.parametrize("family_id, unsound", [
+    ("e3.reflect", ((6, 3, 0), (3, 2, 1))),
+    ("e4.rotated", ((12, 8, 4, 0), (1, 2, 4, 3))),
+])
+def test_figure_classes_audit_every_square(monkeypatch, family_id, unsound):
+    # the unsound pair is no class's first square, so only the audit can stop it
+    figure = magic_figure(family_id, "c")
+    x = figure.order
+    first = next(_solve_values(diagonal_constraints(figure), x))
+    flat = tuple(unsound[0][l] + unsound[1][g] for l, g in _flat(figure.cells))
+    assert verify_magic(Square(_unflat(flat, x))).verdict is not Verdict.MAGIC
+    assert min(_image_pairs(figure, *unsound)) < unsound
+
+    def solver(constraints, x):
+        yield first
+        yield unsound
+
+    monkeypatch.setattr(enumeration, "_solve_values", solver)
+    message = (
+        rf"family {family_id} produced a non-magic square for latin values "
+        rf"{re.escape(str(unsound[0]))} and greek values {re.escape(str(unsound[1]))}; "
+        r"constraint extraction is unsound"
+    )
+    with pytest.raises(AssertionError, match=message):
+        list(_figure_classes(figure, family_id))
+
+
+def _seen_set_classes(figure, family_id):
+    """The first square of each class by a set of squares already seen:
+    each listed square's images under the figure's automorphisms."""
+    pickers = [_picker(sym) for sym in _automorphisms(figure)]
+    seen = set()
+    for flat in _figure_cells(figure, family_id):
+        if flat not in seen:
+            seen.update(pick(flat) for pick in pickers)
+            yield flat
+
+
+def _check_solver_order(figure, name):
+    """The solver's pairs strictly increase, and _figure_classes lists what
+    the seen-set rule lists; return the number of pairs."""
+    found = list(_solve_values(diagonal_constraints(figure), figure.order))
+    assert all(a < b for a, b in zip(found, found[1:]))
+    assert list(_figure_classes(figure, name)) == list(_seen_set_classes(figure, name))
+    return len(found)
+
+
+@pytest.mark.parametrize("family_id, variant", list(_enumerable()))
+def test_solver_pairs_increase_and_classes_match_the_seen_set_rule(family_id, variant):
+    assert _check_solver_order(magic_figure(family_id, variant), family_id) > 0
+
+
+@pytest.mark.parametrize("x, found", [(3, 8), (4, 7040)], ids=["order 3", "order 4"])
+def test_digit_figure_solver_pairs_increase_and_classes_match_the_seen_set_rule(request, x, found):
+    groups = _by_digit_figure(request.getfixturevalue(f"oracle{x}"), x)
+    assert sum(_check_solver_order(SuperposedGrid(figure), "digit figure") for figure in groups) == found
+
+
+def test_cyclic_order_five_solver_pairs_increase_and_classes_match_the_seen_set_rule():
+    figures = (_cyclic_figure(2, 3), _cyclic_figure(3, 2))
+    assert [_check_solver_order(figure, "cyclic figure") for figure in figures] == [14400, 14400]
 
 
 @pytest.mark.parametrize("x, steps", [

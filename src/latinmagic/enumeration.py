@@ -293,17 +293,20 @@ def _oracle_source(x: int) -> str:
     Cell c's value is the local gc, the values used once step k has placed
     its cells are the bits of uk, and a chained cell c's base (its rule
     without the step's free value v) is bc, computed on entering the step.
-    v's loop runs over the range that its normal-form comparisons and its
-    chain's bounds allow.  Each chained value is base + coef*v, divided by
-    den when den is not 1; a remainder, a used value or a broken comparison
-    skips to the next v.  The innermost body passes the row-major cells to
+    v's loop runs from lok to hik, which start at 1 and x*x (0 and 0 for
+    the spare cell) and are raised or lowered by one plain comparison per
+    normal-form comparison and chain bound.  Each chained value is
+    base + coef*v, divided by den when den is not 1; a remainder, a used
+    value or a broken comparison skips to the next v.  Each value's bit is
+    built once, tested against the mask and added to it; the first step has
+    nothing to test.  The innermost body passes the row-major cells to
     found.  Python allows 20 nested loops, so the source compiles up to
     order 5 (14 free cells).
     """
     n = x * x
     steps = _oracle_plan(x)
     lines = ["def search(found):"]
-    used = "0"
+    used = ""
     for k, (cell, beyond, chain) in enumerate(steps):
         pad = "    " * (k + 1)
         lows, highs = (["1"], [str(n)]) if cell < n else (["0"], ["0"])
@@ -324,21 +327,24 @@ def _oracle_source(x: int) -> str:
                 highs.append(f"({q} - b{w}) // {coef}")
             else:
                 lines.append(f"{pad}if not {den} <= b{w} <= {den * n}: {'continue' if k else 'return'}")
-        low = f"max({', '.join(lows)})" if len(lows) > 1 else lows[0]
-        high = f"min({', '.join(highs)})" if len(highs) > 1 else highs[0]
-        lines.append(f"{pad}for g{cell} in range({low}, {high} + 1):")
+        lines += [f"{pad}lo{k} = {lows[0]}", *(f"{pad}if {e} > lo{k}: lo{k} = {e}" for e in lows[1:])]
+        lines += [f"{pad}hi{k} = {highs[0]}", *(f"{pad}if {e} < hi{k}: hi{k} = {e}" for e in highs[1:])]
+        lines.append(f"{pad}for g{cell} in range(lo{k}, hi{k} + 1):")
         pad += "    "
         mask = f"u{k}"
-        lines += [f"{pad}if {used} >> g{cell} & 1: continue", f"{pad}{mask} = {used} | 1 << g{cell}"]
+        if used:
+            lines += [f"{pad}bit = 1 << g{cell}", f"{pad}if {used} & bit: continue", f"{pad}{mask} = {used} | bit"]
+        else:
+            lines.append(f"{pad}{mask} = 1 << g{cell}")
         for w, den, _, _, coef, w_beyond in chain:
             num = f"b{w} {_times(coef, f'g{cell}')}" if coef else f"b{w}"
-            rejects = [f"{mask} >> g{w} & 1", *(f"g{w} {'<=' if s > 0 else '>='} g{c}" for c, s in w_beyond)]
+            rejects = [f"{mask} & bit", *(f"g{w} {'<=' if s > 0 else '>='} g{c}" for c, s in w_beyond)]
             if den == 1:
                 lines.append(f"{pad}g{w} = {num}")
             else:
                 lines.append(f"{pad}g{w}, r = divmod({num}, {den})")
                 rejects.insert(0, "r")
-            lines += [f"{pad}if {' or '.join(rejects)}: continue", f"{pad}{mask} |= 1 << g{w}"]
+            lines += [f"{pad}bit = 1 << g{w}", f"{pad}if {' or '.join(rejects)}: continue", f"{pad}{mask} |= bit"]
         used = mask
     lines.append(f"{'    ' * (len(steps) + 1)}found(({''.join(f'g{c}, ' for c in range(n))}))")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """Symmetry reduction, family censuses, and the exhaustive oracle."""
 import hashlib
 import itertools
+import random
 import re
 from collections import Counter
 
@@ -760,10 +761,52 @@ def test_oracle_bounds_a_free_cell_by_a_later_comparison(monkeypatch, x, forms):
     order = _fill_order(x)
     assert order[:2] == (0, x - 1)
     monkeypatch.setattr(enumeration, "_fill_order", lambda n: (order[1], order[0], *order[2:]))
-    loop = next(line for line in _oracle_source(x).splitlines() if " for g0 " in line)
-    assert f"min({x * x}, g{x - 1} - 1" in loop
+    lines = [line.strip() for line in _oracle_source(x).splitlines()]
+    at = next(i for i, line in enumerate(lines) if line.startswith("for g0 "))
+    k = re.fullmatch(r"for g0 in range\(lo(\d+), hi\1 \+ 1\):", lines[at])[1]
+    step = lines[max(i for i in range(at) if lines[i].startswith(("def ", "for "))) + 1:at]
+    assert f"if g{x - 1} - 1 < hi{k}: hi{k} = g{x - 1} - 1" in step
     assert len(plain) == forms
     assert set(_frenicle_flats(x)) == plain
+
+
+def _plan_kinds(x):
+    """The comparison signs, divisors and coefficients that the order-x plan uses."""
+    kinds = set()
+    for _, beyond, chain in _oracle_plan(x):
+        kinds |= {("sign", s) for _, s in beyond}
+        for _, den, _, _, coef, link_beyond in chain:
+            kinds |= {("den", den), ("coef", coef), *(("sign", s) for _, s in link_beyond)}
+    return kinds
+
+
+# at orders 3 and 4 the real fill order's plans only raise a loop's lower
+# bound by a comparison, and divide by 1 a value linear in the free value
+# with coefficient 0 or ±1; other fill orders reach the rest
+SHUFFLE_KINDS = {("sign", -1), ("den", 2), ("coef", 2), ("coef", -2)}
+
+
+def test_oracle_finds_the_same_forms_under_shuffled_order_three_fill_orders(monkeypatch):
+    assert not SHUFFLE_KINDS & _plan_kinds(3)
+    forms = sorted(_frenicle_flats(3))
+    cells = _fill_order(3)
+    kinds = set()
+    for seed in range(100):
+        order = tuple(random.Random(seed).sample(cells, len(cells)))
+        monkeypatch.setattr(enumeration, "_fill_order", lambda n, order=order: order)
+        kinds |= _plan_kinds(3)
+        assert sorted(_frenicle_flats(3)) == forms, order
+    assert SHUFFLE_KINDS <= kinds
+
+
+def test_oracle_finds_the_same_forms_under_a_shuffled_order_four_fill_order(monkeypatch):
+    assert not SHUFFLE_KINDS & _plan_kinds(4)
+    forms = sorted(_frenicle_flats(4))
+    order = (3, 0, 8, 1, 2, 14, 7, 10, 11, 5, 9, 4, 13, 15, 6, 12)
+    assert sorted(order) == sorted(_fill_order(4))
+    monkeypatch.setattr(enumeration, "_fill_order", lambda n: order)
+    assert SHUFFLE_KINDS <= _plan_kinds(4)
+    assert sorted(_frenicle_flats(4)) == forms
 
 
 def test_oracle_drops_a_constant_forced_cell_outside_the_values(monkeypatch):

@@ -69,44 +69,51 @@ class FamilyCensus(_Record):
     squares_distinct_dihedral: int
 
 
-def _builder_source(figure: SuperposedGrid, renamings) -> str:
-    """A figure's squares as the source of build(pairs, refuse), audited inline.
+def _builder_source(figure: SuperposedGrid, automorphisms) -> str:
+    """A figure's squares as the source of build(pairs), audited inline.
 
     For each (latin, greek) pair of value tuples, build unpacks the values
     into the locals a0.. and b0.., sets cell k's local c{k} = a{l} + b{g}
     for its letters l and g, and runs _Geometry.audit_text over those
-    locals (the name values holds 1..x*x); a square that fails goes to
-    refuse(latin, greek).  build then skips the square if some (Latin,
-    Greek) letter renaming (p, r) gives a pair ((a_p0, ...), (b_r0, ...))
-    less than (latin, greek), and yields the rest as row-major tuples.
-    The two pairs first differ at the first letter that p, then r, moves,
-    so each renaming is one comparison of two locals, for example a2 < a0.
+    locals (the name values holds 1..x*x); a square that fails raises its
+    AssertionError, naming the family by the name family_id.  Each given
+    automorphism, a cell map, renames the letters and takes the square to
+    the one made from the renamed pair; build skips the square if some
+    renamed pair is less than (latin, greek), and yields the rest as
+    row-major tuples.  The two pairs first differ at the first Latin
+    letter, else the first Greek one, that the map moves, so each
+    automorphism is one comparison of two locals, for example a2 < a0.
     """
     x = figure.order
     n = x * x
+    pairs = _flat(figure.cells)
     lines = [
-        "def build(pairs, refuse):",
+        "def build(pairs):",
         "    for latin, greek in pairs:",
         f"        {''.join(f'a{k}, ' for k in range(x))}= latin",
         f"        {''.join(f'b{k}, ' for k in range(x))}= greek",
-        *(f"        c{k} = a{l} + b{g}" for k, (l, g) in enumerate(_flat(figure.cells))),
+        *(f"        c{k} = a{l} + b{g}" for k, (l, g) in enumerate(pairs)),
         f"        flat = ({''.join(f'c{k}, ' for k in range(n))})",
         f"        if not ({_geometry(x).audit_text([f'c{k}' for k in range(n)], 'flat')}):",
-        "            refuse(latin, greek)",
+        "            raise AssertionError(f'family {family_id} produced a non-magic square for latin values '",
+        "                                 f'{latin} and greek values {greek}; constraint extraction is unsound')",
     ]
-    earlier = []
-    for renaming in renamings:
-        letter, k, p = next(
-            (letter, k, p) for letter, moved in zip("ab", renaming) for k, p in enumerate(moved) if p != k
+    earlier = [
+        next(
+            f"{letter}{p} < {letter}{k}"
+            for r, letter in enumerate("ab")
+            for k, p in sorted({pair[r]: pairs[s][r] for pair, s in zip(pairs, sym)}.items())
+            if p != k
         )
-        earlier.append(f"{letter}{p} < {letter}{k}")
+        for sym in automorphisms
+    ]
     if earlier:
         lines.append(f"        if {' or '.join(earlier)}: continue")
     lines.append("        yield flat")
     return "\n".join(lines) + "\n"
 
 
-def _figure_cells(figure: SuperposedGrid, family_id: str, renamings=()) -> Iterator[tuple[int, ...]]:
+def _figure_cells(figure: SuperposedGrid, family_id: str, automorphisms=()) -> Iterator[tuple[int, ...]]:
     """Row-major cells of the squares a figure makes, each audited inline.
 
     Each cell is its Latin letter's value plus its Greek letter's.  The
@@ -114,20 +121,14 @@ def _figure_cells(figure: SuperposedGrid, family_id: str, renamings=()) -> Itera
     that runs over the solver's value pairs in their order and audits
     every square by the line sums and values of _Geometry.audit_text, the
     test _is_magic runs, before anything else.  A square is skipped after
-    its audit when one of the letter renamings gives a smaller pair.
+    its audit when one of the given non-identity automorphisms maps it to
+    a square made from a smaller pair.
     """
     constraints = diagonal_constraints(figure)
     x = figure.order
-
-    def refuse(latin: tuple[int, ...], greek: tuple[int, ...]) -> None:
-        raise AssertionError(
-            f"family {family_id} produced a non-magic square for latin values "
-            f"{latin} and greek values {greek}; constraint extraction is unsound"
-        )
-
-    namespace: dict = {"values": list(range(1, x * x + 1))}
-    exec(compile(_builder_source(figure, renamings), f"<figure of order {x}>", "exec"), namespace)
-    yield from namespace["build"](_solve_values(constraints, x), refuse)
+    namespace: dict = {"values": list(range(1, x * x + 1)), "family_id": family_id}
+    exec(compile(_builder_source(figure, automorphisms), f"<figure of order {x}>", "exec"), namespace)
+    yield from namespace["build"](_solve_values(constraints, x))
 
 
 def _automorphisms(figure: SuperposedGrid) -> set[tuple[int, ...]]:
@@ -150,22 +151,16 @@ def _automorphisms(figure: SuperposedGrid) -> set[tuple[int, ...]]:
 def _figure_classes(figure: SuperposedGrid, family_id: str) -> Iterator[tuple[int, ...]]:
     """The first square of each dihedral class a figure makes, in _figure_cells order.
 
-    An automorphism that takes letters (l, g) to (p_l, r_g) maps the square
-    made from (latin, greek) to the one made from ((latin[p_0], ...),
-    (greek[r_0], ...)).  The solver yields the pairs in lexicographic order,
-    and every image of one of its squares is one, so a square has an
-    earlier square in its class exactly when one of the non-identity
-    renamings (p, r) gives a smaller pair: _figure_cells skips it after
-    its audit, and no set of squares already seen is kept.
+    An automorphism renames the letters, and maps the square made from
+    (latin, greek) to the one made from the renamed pair.  The solver
+    yields the pairs in lexicographic order, and every image of one of its
+    squares is one, so a square has an earlier square in its class exactly
+    when one of the non-identity automorphisms gives a smaller pair:
+    _figure_cells skips it after its audit, and no set of squares already
+    seen is kept.
     """
-    x = figure.order
-    pairs = _flat(figure.cells)
-    identity = (tuple(range(x)),) * 2
-    renamings = set()
-    for sym in _automorphisms(figure):
-        renamed = [dict((p[r], pairs[k][r]) for p, k in zip(pairs, sym)) for r in (0, 1)]
-        renamings.add(tuple(tuple(names[k] for k in range(x)) for names in renamed))
-    yield from _figure_cells(figure, family_id, sorted(renamings - {identity}))
+    identity = tuple(range(figure.order ** 2))
+    yield from _figure_cells(figure, family_id, sorted(_automorphisms(figure) - {identity}))
 
 
 def enumerate_family(family_id: str, variant: str = "c") -> Iterator[Square]:
@@ -288,7 +283,7 @@ def _times(coef: int, var: str) -> str:
 
 
 def _oracle_source(x: int) -> str:
-    """The oracle's search as the source of search(found): one for loop per free step.
+    """The oracle's search as the source of the generator search(): one for loop per free step.
 
     Cell c's value is the local gc, the values used once step k has placed
     its cells are the bits of uk, and a chained cell c's base (its rule
@@ -299,13 +294,14 @@ def _oracle_source(x: int) -> str:
     base + coef*v, divided by den when den is not 1; a remainder, a used
     value or a broken comparison skips to the next v.  Each value's bit is
     built once, tested against the mask and added to it; the first step has
-    nothing to test.  The innermost body passes the row-major cells to
-    found.  Python allows 20 nested loops, so the source compiles up to
-    order 5 (14 free cells).
+    nothing to test.  The innermost body audits the row-major cells with
+    the name _is_magic, raises if they are not magic and yields them.
+    Python allows 20 nested loops, so the source compiles up to order 5
+    (14 free cells).
     """
     n = x * x
     steps = _oracle_plan(x)
-    lines = ["def search(found):"]
+    lines = ["def search():"]
     used = ""
     for k, (cell, beyond, chain) in enumerate(steps):
         pad = "    " * (k + 1)
@@ -346,23 +342,20 @@ def _oracle_source(x: int) -> str:
                 rejects.insert(0, "r")
             lines += [f"{pad}bit = 1 << g{w}", f"{pad}if {' or '.join(rejects)}: continue", f"{pad}{mask} |= bit"]
         used = mask
-    lines.append(f"{'    ' * (len(steps) + 1)}found(({''.join(f'g{c}, ' for c in range(n))}))")
+    lines += [  # pad is now the innermost loop body's indent
+        f"{pad}flat = ({''.join(f'g{c}, ' for c in range(n))})",
+        f"{pad}if not _is_magic(flat, {x}):",
+        f"{pad}    raise AssertionError(f'oracle found non-magic {{flat}}; forced-cell rules are unsound')",
+        f"{pad}yield flat",
+    ]
     return "\n".join(lines) + "\n"
 
 
 def _frenicle_flats(x: int) -> list[tuple[int, ...]]:
     """The Frénicle normal forms as row-major cells; see oracle_search."""
-    flats: list[tuple[int, ...]] = []
-
-    def found(flat: tuple[int, ...]) -> None:
-        if not _is_magic(flat, x):
-            raise AssertionError(f"oracle found non-magic {flat}; forced-cell rules are unsound")
-        flats.append(flat)
-
-    namespace: dict = {}
+    namespace: dict = {"_is_magic": _is_magic}
     exec(compile(_oracle_source(x), f"<oracle order {x}>", "exec"), namespace)
-    namespace["search"](found)
-    return flats
+    return list(namespace["search"]())
 
 
 def _oracle_classes(x: int) -> dict[tuple[int, ...], set[tuple[int, ...]]]:
@@ -394,7 +387,8 @@ def oracle_search(x: int) -> set[Square]:
     them in 1..x*x, and a v is skipped when one is not an integer, repeats
     a value or breaks a comparison.  No line sums are tracked: the rules span the line
     equations, so distinct values in 1..x*x that meet them form a magic
-    square, and every magic square meets them.  Each form is audited, then
+    square, and every magic square meets them.  The search yields each
+    form once verify._is_magic has audited it, and each form is then
     mapped over flat row-major cells to its class.  Orders above 4 fail.
     """
     return {Square(_unflat(flat, x)) for flat in _oracle_flats(x)}

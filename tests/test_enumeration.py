@@ -233,6 +233,19 @@ def test_audit_refuses_a_pair_that_is_not_a_permutation(monkeypatch):
         census("e3.reflect")
 
 
+def test_builder_names_any_family_id_verbatim(monkeypatch):
+    # the id is read as a value by the compiled builder, never pasted into its source
+    monkeypatch.setattr(enumeration, "_solve_values", unsound_solver)
+    family_id = "e3'{x}\"\\n"
+    message = (
+        f"family {family_id} produced a non-magic square for latin values "
+        "(0, 3, 6) and greek values (1, 2, 3); constraint extraction is unsound"
+    )
+    with pytest.raises(AssertionError) as raised:
+        list(_figure_cells(magic_figure("e3.reflect"), family_id))
+    assert str(raised.value) == message
+
+
 def _enumerable():
     for family in FAMILIES.values():
         for variant in family.figures:
@@ -904,6 +917,14 @@ def test_oracle_audits_every_form(monkeypatch):
     monkeypatch.setattr(enumeration, "_is_magic", lambda flat, x: False)
     with pytest.raises(AssertionError, match="forced-cell rules are unsound"):
         [_unflat(flat, 3) for flat in _frenicle_flats(3)]
+
+
+def test_oracle_audits_its_last_form_too(monkeypatch):
+    forms = _frenicle_flats(4)
+    monkeypatch.setattr(enumeration, "_is_magic", lambda flat, x: flat != forms[-1])
+    message = f"oracle found non-magic {forms[-1]}; forced-cell rules are unsound"
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        _frenicle_flats(4)
 
 
 def test_subset_check_passes_for_order_three_families(oracle3):

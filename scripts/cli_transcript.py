@@ -18,10 +18,6 @@ changed call.
 The documents that `verify` reads by path from tests/transcript_inputs
 stay out of tests/data, whose files are each read once by path and once
 from stdin.
-
-Left out for time: e5.diag's full and dihedral listings and the order-4
-oracle.  tests/test_cli.py pins the dihedral listing and the oracle by
-sha256.
 """
 from __future__ import annotations
 
@@ -59,9 +55,6 @@ def calls() -> list[tuple[list[str], str | None]]:
                     ("gen",), ("constraints",), ("enumerate", "--count-only"),
                     ("enumerate",), ("enumerate", "--dedup", "dihedral"),
                 ):
-                    listing = command[0] == "enumerate" and command[-1] != "--count-only"
-                    if listing and (family, variant) == ("e5.diag", ()):
-                        continue
                     listed.append(([command[0], "--family", family, *command[1:], *variant, *fmt], None))
     for family, values in (
         ("e3.reflect", ("--latin", "0,6,3", "--greek", "1,3,2")),  # the Lo Shu
@@ -90,7 +83,7 @@ def calls() -> list[tuple[list[str], str | None]]:
     for name in sorted(os.listdir(ROOT / INPUTS)):
         for fmt in FORMATS:
             listed.append((["verify", f"{INPUTS}/{name}", *fmt], None))
-    for order in ("0", "1", "2", "3", "-1", "x"):
+    for order in ("0", "1", "2", "3", "4", "-1", "x"):
         for count in ((), ("--count-only",)):
             for fmt in FORMATS:
                 listed.append((["oracle", "--order", order, *count, *fmt], None))

@@ -310,14 +310,6 @@ _LATIN_INDEX = {ch: k for k, ch in enumerate(LATIN_LETTERS)}
 _GREEK_INDEX = {ch: k for k, ch in enumerate(GREEK_LETTERS)}
 
 
-def _letter_grid(text: str) -> SymbolGrid:
-    cells = tuple(
-        tuple(_LATIN_INDEX[token] for token in line.split())
-        for line in text.strip().splitlines()
-    )
-    return SymbolGrid(Role.LATIN, cells)
-
-
 def _pair_grid(text: str) -> SuperposedGrid:
     cells = tuple(
         tuple(
@@ -329,8 +321,13 @@ def _pair_grid(text: str) -> SuperposedGrid:
     return SuperposedGrid(cells)
 
 
-def _mirrored(latin: SymbolGrid, axis: Axis) -> SuperposedGrid:
-    """A Latin grid superposed on its own mirror image as the Greek part."""
+def _mirrored(text: str, axis: Axis) -> SuperposedGrid:
+    """The Latin grid written in text, superposed on its own mirror image as the Greek part."""
+    cells = tuple(
+        tuple(_LATIN_INDEX[token] for token in line.split())
+        for line in text.strip().splitlines()
+    )
+    latin = SymbolGrid(Role.LATIN, cells)
     return superpose(latin, reflect_greek(latin, axis))
 
 
@@ -339,57 +336,57 @@ def _shifted(figure: SuperposedGrid) -> SuperposedGrid:
     return rotate_lines(figure, "columns", -1)
 
 
-_E3_REFLECT = _mirrored(_letter_grid("""
+_E3_REFLECT = _mirrored("""
 a b c
 b c a
 c a b
-"""), Axis.MIDDLE_COLUMN)
+""", Axis.MIDDLE_COLUMN)
 
-_E4_DIAG = _mirrored(_letter_grid("""
+_E4_DIAG = _mirrored("""
 a b c d
 d c b a
 b a d c
 c d a b
-"""), Axis.MAIN_DIAGONAL)
+""", Axis.MAIN_DIAGONAL)
 
 # The only other order-4 arrangement with both diagonals complete once the
 # first row is fixed: the main diagonal runs a, d, b, c instead of a, c, d, b.
-_E4_DIAG_D = _mirrored(_letter_grid("""
+_E4_DIAG_D = _mirrored("""
 a b c d
 c d a b
 d c b a
 b a d c
-"""), Axis.MAIN_DIAGONAL)
+""", Axis.MAIN_DIAGONAL)
 
-_E4_BLOCK = _mirrored(_letter_grid("""
+_E4_BLOCK = _mirrored("""
 a a d d
 d d a a
 b b c c
 c c b b
-"""), Axis.MAIN_DIAGONAL)
+""", Axis.MAIN_DIAGONAL)
 
-_E4_INTERLEAVE = _mirrored(_letter_grid("""
+_E4_INTERLEAVE = _mirrored("""
 a d a d
 b c b c
 d a d a
 c b c b
-"""), Axis.MAIN_DIAGONAL)
+""", Axis.MAIN_DIAGONAL)
 
-_E5_DIAG = _mirrored(_letter_grid("""
+_E5_DIAG = _mirrored("""
 a b c d e
 e c d a b
 d e b c a
 b d a e c
 c a e b d
-"""), Axis.MIDDLE_COLUMN)
+""", Axis.MIDDLE_COLUMN)
 
-_E5_CENTER = _mirrored(_letter_grid("""
+_E5_CENTER = _mirrored("""
 c d e a b
 b c d e a
 a b c d e
 e a b c d
 d e a b c
-"""), Axis.MIDDLE_ROW)
+""", Axis.MIDDLE_ROW)
 
 _E6_PAIRED = _pair_grid("""
 aα aζ aβ fε fγ fδ

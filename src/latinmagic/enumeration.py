@@ -5,7 +5,7 @@ any figure construction, so family output can be checked against it.
 """
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .construct import _solve_values, diagonal_constraints, magic_figure
 from .model import Square, SuperposedGrid, _Record, _brief, _check_order, _rref, magic_constant

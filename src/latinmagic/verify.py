@@ -8,11 +8,11 @@ diagonal.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
 
 from .model import (
     Role,

@@ -1044,6 +1044,15 @@ def test_cli_import_loads_no_json():
     assert loaded.stdout == "[]\n"
 
 
+def test_a_clean_interpreter_imports_the_cli_without_typing():
+    # -S: a site .pth may load typing before the package, hiding it from a baseline
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, latinmagic.cli; print('typing' in sys.modules)"],
+        capture_output=True, text=True, env=CHILD_ENV, check=True,
+    )
+    assert loaded.stdout == "False\n"
+
+
 def test_main_exits_with_run_code(capsys, monkeypatch):
     from latinmagic.cli import main
 

@@ -6,10 +6,11 @@ any figure construction, so family output can be checked against it.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import permutations
 
 from .construct import _solve_values, diagonal_constraints, magic_figure
 from .model import Square, SuperposedGrid, _Record, _brief, _check_order, _rref, magic_constant
-from .verify import _flat, _geometry, _is_magic, _unflat
+from .verify import _flat, _geometry, _is_magic, _picker, _unflat
 
 ORACLE_MAX_ORDER = 4
 
@@ -240,14 +241,36 @@ def _forced_cells(x: int) -> list[tuple | None]:
     return rules
 
 
-def _oracle_plan(x: int) -> tuple[tuple, ...]:
+def _symmetry_group(x: int) -> tuple[tuple[int, ...], ...]:
+    """G, the distinct cell maps that keep every magic square magic, in blocks of 8.
+
+    Each permutation of 0..x-1 that commutes with i -> x-1-i, put on the rows
+    and the columns at once, is followed by each of _Geometry.symmetries: the
+    first block is those, and the images under one block are one dihedral class.
+    """
+    keep = [s for s in permutations(range(x)) if all(s[x - 1 - i] == x - 1 - s[i] for i in range(x))]
+    symmetries = _geometry(x).symmetries
+    return tuple(dict.fromkeys(tuple(s[k // x] * x + s[k % x] for k in sym) for s in keep for sym in symmetries))
+
+
+def _least_image_pairs(symmetries, cells) -> list[tuple[int, int]]:
+    """The (smaller, larger) cell pairs of a least image, cells read in the given order.
+
+    Per map, repeats dropped: the first cell c it moves and the cell sym[c] it
+    reads into c.  The dihedral maps with cells row-major give Frénicle's.
+    """
+    firsts = [next((c for c in cells if sym[c] != c), None) for sym in symmetries]
+    return list(dict.fromkeys((c, sym[c]) for c, sym in zip(firsts, symmetries) if c is not None))
+
+
+def _oracle_plan(x: int, pairs=None) -> tuple[tuple, ...]:
     """The oracle's steps in fill order: (free cell, beyond, chain) per free cell.
 
-    beyond: normal-form comparisons with earlier cells, as (other cell,
-    sign) with (value - other value) * sign > 0.  chain: the forced cells
-    up to the next free cell, as (cell, den, const, terms, coef, beyond)
-    with den * value = const + coef * v + sum(c * value of t for c, t in
-    terms), v the step's free value and t free cells of earlier steps.
+    beyond: the normal form's pairs (Frénicle's unless given) with earlier
+    cells, as (other cell, sign) with (value - other value) * sign > 0.  chain:
+    the forced cells up to the next free cell, as (cell, den, const, terms,
+    coef, beyond) with den * value = const + coef * v + sum(c * value of t for
+    c, t in terms), v the step's free value and t free cells of earlier steps.
     Orders 1 and 2 have no free cell; their chain follows the spare cell
     x*x, which takes only the value 0.
     """
@@ -255,10 +278,9 @@ def _oracle_plan(x: int) -> tuple[tuple, ...]:
     order = _fill_order(x)
     step = {cell: k for k, cell in enumerate(order)}
     beyond: dict[int, list] = {cell: [] for cell in order}
-    # (smaller, larger) cell pairs of the normal form: (0,0) against the
-    # other three corners, then (0,1) against (1,0)
-    first, *others = _geometry(x).corners
-    for small, large in [(first, corner) for corner in others] + [(1, x)] if x > 1 else []:
+    if pairs is None:
+        pairs = _least_image_pairs(_geometry(x).symmetries, range(n))
+    for small, large in pairs:
         later, earlier, sign = (large, small, 1) if step[small] < step[large] else (small, large, -1)
         beyond[later].append((earlier, sign))
     steps: list = []
@@ -282,7 +304,7 @@ def _times(coef: int, var: str) -> str:
     return f"{'-' if coef < 0 else '+'} {size}{var}"
 
 
-def _oracle_source(x: int) -> str:
+def _oracle_source(x: int, pairs=None) -> str:
     """The oracle's search as the source of the generator search(): one for loop per free step.
 
     Cell c's value is the local gc, the values used once step k has placed
@@ -300,7 +322,7 @@ def _oracle_source(x: int) -> str:
     (14 free cells).
     """
     n = x * x
-    steps = _oracle_plan(x)
+    steps = _oracle_plan(x, pairs)
     lines = ["def search():"]
     used = ""
     for k, (cell, beyond, chain) in enumerate(steps):
@@ -351,19 +373,36 @@ def _oracle_source(x: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _frenicle_flats(x: int) -> list[tuple[int, ...]]:
-    """The Frénicle normal forms as row-major cells; see oracle_search."""
+def _least_forms(x: int, pairs=None) -> list[tuple[int, ...]]:
+    """The forms the oracle's search finds under these pairs (_oracle_plan), as row-major cells."""
     namespace: dict = {"_is_magic": _is_magic}
-    exec(compile(_oracle_source(x), f"<oracle order {x}>", "exec"), namespace)
+    exec(compile(_oracle_source(x, pairs), f"<oracle order {x}>", "exec"), namespace)
     return list(namespace["search"]())
 
 
+def _frenicle_flats(x: int) -> list[tuple[int, ...]]:
+    """The Frénicle normal forms as row-major cells: the reference for _oracle_classes."""
+    return _least_forms(x)
+
+
 def _oracle_classes(x: int) -> dict[tuple[int, ...], set[tuple[int, ...]]]:
-    """Every order-x magic square by class, keyed by its Frénicle form; see oracle_search."""
+    """Every order-x magic square by dihedral class, keyed by its audited Frénicle form; see oracle_search."""
     _check_order(x)
     if x > ORACLE_MAX_ORDER:
         raise ValueError(f"exhaustive search is capped at order {ORACLE_MAX_ORDER}, got {_brief(x)}")
-    return {form: {pick(form) for pick in _geometry(x).symmetry_pickers} for form in _frenicle_flats(x)}
+    group = _symmetry_group(x)
+    pickers = [_picker(sym) for sym in group]
+    classes: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    for form in _least_forms(x, _least_image_pairs(group, _fill_order(x))):
+        for block in range(0, len(group), 8):
+            members = {pick(form) for pick in pickers[block:block + 8]}
+            key = min(members)
+            if key in classes:
+                raise AssertionError(f"oracle class key {key} found twice; the normal form is not unique")
+            if not _is_magic(key, x):
+                raise AssertionError(f"oracle class key {key} is not magic; the symmetry group is unsound")
+            classes[key] = members
+    return classes
 
 
 def _oracle_flats(x: int) -> set[tuple[int, ...]]:
@@ -374,22 +413,23 @@ def _oracle_flats(x: int) -> set[tuple[int, ...]]:
 def oracle_search(x: int) -> set[Square]:
     """Every order-x magic square over 1..x*x, by exhaustive backtracking.
 
-    Only Frénicle normal forms are searched: (0,0) is the smallest corner
-    and (0,1) < (1,0).  Each class under the eight symmetries has exactly
-    one, since the two symmetries that put the smallest corner at (0,0)
-    are transposes of each other and swap (0,1) and (1,0).  The cells are
-    filled corners first, then diagonals.  _forced_cells reduces the 2x+2
-    line equations with model._rref; each row fixes one cell from free
-    cells filled before it (9 of 16 at order 4).  _oracle_source writes
-    the search out as one nested for loop per free cell (7 at order 4),
-    compiled on each call; each forced cell up to the next free cell is
-    computed inline, linear in the newest free value v: v's range keeps
-    them in 1..x*x, and a v is skipped when one is not an integer, repeats
-    a value or breaks a comparison.  No line sums are tracked: the rules span the line
-    equations, so distinct values in 1..x*x that meet them form a magic
-    square, and every magic square meets them.  The search yields each
-    form once verify._is_magic has audited it, and each form is then
-    mapped over flat row-major cells to its class.  Orders above 4 fail.
+    G (_symmetry_group) keeps every magic square magic: at order 4 its 32 maps
+    split the 7,040 squares into 220 orbits of 32.  The search finds each
+    orbit's least image, cells read in fill order (_least_image_pairs).  The
+    cells are filled corners first, then diagonals.  _forced_cells reduces the
+    2x+2 line equations with model._rref; each row fixes one cell from free
+    cells filled before it (9 of 16 at order 4).  _oracle_source writes the
+    search out as one nested for loop per free cell (7 at order 4), compiled
+    on each call; each forced cell up to the next free cell is computed
+    inline, linear in the newest free value v: v's range keeps them in 1..x*x,
+    and a v is skipped when one is not an integer, repeats a value or breaks a
+    comparison.  No line sums are tracked: the rules span the line equations,
+    so distinct values in 1..x*x that meet them form a magic square, and every
+    magic square meets them.  The search yields each form once
+    verify._is_magic has audited it (220 after 4,797 loop entries at order 4;
+    Frénicle's 880 take 35,361).  Each block of G maps a form to a dihedral
+    class, keyed by its least member, the Frénicle form; every key is audited
+    too, and one found twice raises.  Orders above 4 fail.
     """
     return {Square(_unflat(flat, x)) for flat in _oracle_flats(x)}
 

@@ -38,10 +38,13 @@ from latinmagic.enumeration import (
     _fill_order,
     _forced_cells,
     _frenicle_flats,
+    _least_forms,
+    _least_image_pairs,
     _oracle_classes,
     _oracle_flats,
     _oracle_plan,
     _oracle_source,
+    _symmetry_group,
 )
 from latinmagic.construct import _solve_values
 from latinmagic.verify import _flat, _geometry, _picker, _unflat
@@ -875,6 +878,95 @@ FRENICLE_ORDER_SHA256 = "96c10e95b7438c5d58b48d7d8eeeacb1fb7ee9f21c3a455afc52eef
 def test_oracle_search_order_is_pinned():
     forms = repr([_frenicle_flats(x) for x in range(1, 5)])
     assert hashlib.sha256(forms.encode()).hexdigest() == FRENICLE_ORDER_SHA256
+
+
+def _group_forms(x):
+    """The oracle's forms under _symmetry_group, cells read in fill order."""
+    return _least_forms(x, _least_image_pairs(_symmetry_group(x), _fill_order(x)))
+
+
+@pytest.mark.parametrize("x, size", [(1, 1), (2, 8), (3, 8), (4, 32)])
+def test_the_symmetry_group_has_the_dihedral_maps_first(x, size):
+    group = _symmetry_group(x)
+    assert len(group) == len(set(group)) == size
+    assert group[:8] == _geometry(x).symmetries[:len(group)]
+    if x < 4:
+        assert set(group) == set(_geometry(x).symmetries)
+
+
+def test_the_symmetry_group_keeps_every_order_four_magic_square_magic():
+    flats = _oracle_flats(4)
+    for sym in _symmetry_group(4):
+        pick = _picker(sym)
+        assert {pick(flat) for flat in flats} == flats
+
+
+def test_the_order_four_squares_fall_into_220_orbits_of_32():
+    group = _symmetry_group(4)
+    pickers = [_picker(sym) for sym in group]
+    orbits = {}
+    for flat in _oracle_flats(4):
+        orbits.setdefault(min(pick(flat) for pick in pickers), set()).add(flat)
+    assert len(orbits) == 220
+    for key, orbit in orbits.items():
+        assert orbit == {pick(key) for pick in pickers}
+        assert len(orbit) == 32
+        assert len({_canonical_flat(flat, 4) for flat in orbit}) == 4
+    # the search finds one square of each orbit
+    forms = _group_forms(4)
+    assert len(forms) == 220
+    assert {min(pick(form) for pick in pickers) for form in forms} == set(orbits)
+
+
+@pytest.mark.parametrize("x", range(1, 9))
+def test_least_image_pairs_of_the_dihedral_maps_are_frenicles(x):
+    # (0,0) below the other three corners, then (0,1) below (1,0)
+    frenicle = [(0, x - 1), (0, x * x - x), (0, x * x - 1), (1, x)] if x > 1 else []
+    assert sorted(_least_image_pairs(_geometry(x).symmetries, range(x * x))) == frenicle
+
+
+def test_least_image_pairs_of_the_group_in_fill_order():
+    pairs = _least_image_pairs(_symmetry_group(4), _fill_order(4))
+    assert pairs == [(0, 3), (0, 12), (3, 12), (0, 15), (5, 10), (0, 5), (0, 6), (0, 9), (0, 10)]
+    # all on the diagonals, the eight cells the search places first
+    assert {c for pair in pairs for c in pair} <= set(_fill_order(4)[:8])
+
+
+# sha256 of repr([_group_forms(x) for x in range(1, 5)]): the forms the
+# oracle's G search finds, in its order
+GROUP_FORM_ORDER_SHA256 = "3e14f5b2935177bfee9ab1b6789247b2ddb568274892f17005b1a312580d784a"
+
+
+def test_oracle_group_search_order_is_pinned():
+    forms = repr([_group_forms(x) for x in range(1, 5)])
+    assert hashlib.sha256(forms.encode()).hexdigest() == GROUP_FORM_ORDER_SHA256
+
+
+@pytest.mark.parametrize("x", range(1, 5))
+def test_oracle_classes_are_the_frenicle_forms_images(x):
+    pickers = _geometry(x).symmetry_pickers
+    assert _oracle_classes(x) == {f: {pick(f) for pick in pickers} for f in _frenicle_flats(x)}
+
+
+def test_oracle_classes_refuse_a_class_key_found_twice(monkeypatch):
+    # without (5,10) two squares of some orbits pass the normal form
+    pairs = _least_image_pairs
+
+    def fewer(symmetries, cells):
+        return [pair for pair in pairs(symmetries, cells) if pair != (5, 10)]
+
+    monkeypatch.setattr(enumeration, "_least_image_pairs", fewer)
+    with pytest.raises(AssertionError, match="found twice; the normal form is not unique"):
+        _oracle_classes(4)
+
+
+def test_oracle_classes_audit_every_class_key(monkeypatch):
+    # a key the search does not yield itself, so only the key audit sees it
+    key = next(f for f in _frenicle_flats(4) if f not in set(_group_forms(4)))
+    monkeypatch.setattr(enumeration, "_is_magic", lambda flat, x: flat != key)
+    message = f"oracle class key {key} is not magic; the symmetry group is unsound"
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        _oracle_classes(4)
 
 
 @pytest.mark.parametrize("rules", [

@@ -25,18 +25,6 @@ from .construct import (
     rotate_lines,
     solve_assignments,
 )
-from .enumeration import (
-    ORACLE_MAX_ORDER,
-    CanonicalSquare,
-    FamilyCensus,
-    SubsetReport,
-    canonicalize,
-    census,
-    dihedral_images,
-    enumerate_family,
-    oracle_search,
-    subset_check,
-)
 from .model import (
     GREEK_LETTERS,
     LATIN_LETTERS,
@@ -71,10 +59,55 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-# every name imported above, without the submodules themselves
-__all__ = sorted(
-    name
-    for name in globals()
-    if not name.startswith("_")
-    and name not in ("construct", "enumeration", "model", "verify")
+
+def _lazy_submodule(name):
+    """Register submodule `name` in sys.modules; its source runs on the first attribute read."""
+    import importlib.util
+    import sys
+
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# the CLI's families, gen, verify and constraints never use enumeration, so
+# its source is compiled and run only when one of its attributes (the names
+# below among them) is first read
+enumeration = _lazy_submodule("enumeration")
+_ENUMERATION_NAMES = (
+    "ORACLE_MAX_ORDER",
+    "CanonicalSquare",
+    "FamilyCensus",
+    "SubsetReport",
+    "canonicalize",
+    "census",
+    "dihedral_images",
+    "enumerate_family",
+    "oracle_search",
+    "subset_check",
 )
+
+
+def __getattr__(name):
+    if name in _ENUMERATION_NAMES:
+        return getattr(enumeration, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_ENUMERATION_NAMES})
+
+
+# every public name of the four submodules, without the submodules themselves
+__all__ = sorted([
+    *_ENUMERATION_NAMES,
+    *(
+        name
+        for name in globals()
+        if not name.startswith("_")
+        and name not in ("construct", "enumeration", "model", "verify")
+    ),
+])

@@ -13,6 +13,7 @@ import re
 import sys
 from math import isqrt
 
+from . import enumeration
 from .construct import (
     FAMILIES,
     OrthogonalityError,
@@ -22,7 +23,6 @@ from .construct import (
     magic_figure,
     solve_assignments,
 )
-from .enumeration import FamilyCensus, _figure_cells, _figure_classes, _oracle_classes, census
 from .model import Square, ValueAssignment, _Record, _brief, _shorten, evaluate
 from .verify import VerificationReport, Verdict, _flat, verify_magic
 
@@ -287,7 +287,7 @@ def render(obj, fmt: str = "text") -> str:
         return _render_document(obj, fmt)
     if isinstance(obj, VerificationReport):
         return _render_report(obj, fmt)
-    if isinstance(obj, FamilyCensus):
+    if isinstance(obj, enumeration.FamilyCensus):
         return _render_census(obj, fmt)
     raise ValueError(f"cannot render object of type {type(obj).__name__}")
 
@@ -340,7 +340,7 @@ def _counts_text(counts, fmt: str) -> str:
     return "\n".join(f"{label}: {value}" for _, label, value in counts)
 
 
-def _render_census(result: FamilyCensus, fmt: str) -> str:
+def _render_census(result: enumeration.FamilyCensus, fmt: str) -> str:
     return _counts_text([
         ("family", "family", result.family_id),
         ("assignments_total", "assignments", result.assignments_total),
@@ -448,10 +448,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.count_only:
-        print(render(census(args.family, variant=args.variant), args.format))
+        print(render(enumeration.census(args.family, variant=args.variant), args.format))
         return 0
     figure = magic_figure(args.family, args.variant)
-    listed = _figure_classes if args.dedup == "dihedral" else _figure_cells
+    listed = enumeration._figure_classes if args.dedup == "dihedral" else enumeration._figure_cells
     _print_squares(listed(figure, args.family), args.format, {"family": args.family})
     return 0
 
@@ -468,7 +468,7 @@ def _cmd_constraints(args) -> int:
 
 def _cmd_oracle(args) -> int:
     order = _integer(args.order, "--order")
-    classes = _oracle_classes(order)
+    classes = enumeration._oracle_classes(order)
     if args.count_only:
         count = sum(map(len, classes.values()))
         print(_counts_text([("order", "order", order), ("count", "squares", count)], args.format))

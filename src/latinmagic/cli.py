@@ -282,7 +282,7 @@ def _json_text(payload) -> str:
 def render(obj, fmt: str = "text") -> str:
     """Serialize a SquareDocument, VerificationReport, or FamilyCensus."""
     if fmt not in _FORMATS:
-        raise ValueError(f"format must be {' or '.join(map(repr, _FORMATS))}, got {fmt!r}")
+        raise ValueError(f"format must be {' or '.join(map(repr, _FORMATS))}, got {_brief(fmt)}")
     if isinstance(obj, SquareDocument):
         return _render_document(obj, fmt)
     if isinstance(obj, VerificationReport):

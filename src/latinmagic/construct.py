@@ -106,7 +106,7 @@ def rotate_lines(grid: SuperposedGrid, axis: str, shift: int) -> SuperposedGrid:
     row) to the far end; +1 moves the last one to the front.
     """
     if axis not in ("columns", "rows"):
-        raise ValueError(f"axis must be 'columns' or 'rows', got {axis!r}")
+        raise ValueError(f"axis must be 'columns' or 'rows', got {_brief(axis)}")
     _check_integer(shift, "shift")
     x = grid.order
     shift %= x

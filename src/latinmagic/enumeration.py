@@ -78,12 +78,13 @@ def _builder_source(figure: SuperposedGrid, automorphisms) -> str:
     for its letters l and g, and runs _Geometry.audit_text over those
     locals (the name values holds 1..x*x); a square that fails raises its
     AssertionError, naming the family by the name family_id.  Each given
-    automorphism, a cell map, renames the letters and takes the square to
-    the one made from the renamed pair; build skips the square if some
-    renamed pair is less than (latin, greek), and yields the rest as
-    row-major tuples.  The two pairs first differ at the first Latin
-    letter, else the first Greek one, that the map moves, so each
-    automorphism is one comparison of two locals, for example a2 < a0.
+    automorphism, a cell map, renames the letters a0.., b0.. (numbered
+    0..2x-1) and takes the square to the one made from the renamed pair;
+    build skips the square if some renamed pair is less than (latin,
+    greek), and yields the rest as row-major tuples.  The two pairs first
+    differ at the first letter the renaming moves, so the comparisons are
+    _least_image_pairs of the renamings, each of two locals (a2 < a0);
+    the identity and repeats give none.
     """
     x = figure.order
     n = x * x
@@ -99,15 +100,11 @@ def _builder_source(figure: SuperposedGrid, automorphisms) -> str:
         "            raise AssertionError(f'family {family_id} produced a non-magic square for latin values '",
         "                                 f'{latin} and greek values {greek}; constraint extraction is unsound')",
     ]
-    earlier = [
-        next(
-            f"{letter}{p} < {letter}{k}"
-            for r, letter in enumerate("ab")
-            for k, p in sorted({pair[r]: pairs[s][r] for pair, s in zip(pairs, sym)}.items())
-            if p != k
-        )
-        for sym in automorphisms
+    names = [f"{letter}{k}" for letter in "ab" for k in range(x)]
+    renamings = [
+        {r * x + pair[r]: r * x + pairs[s][r] for pair, s in zip(pairs, sym) for r in (0, 1)} for sym in automorphisms
     ]
+    earlier = [f"{names[large]} < {names[small]}" for small, large in _least_image_pairs(renamings, range(2 * x))]
     if earlier:
         lines.append(f"        if {' or '.join(earlier)}: continue")
     lines.append("        yield flat")
@@ -122,8 +119,8 @@ def _figure_cells(figure: SuperposedGrid, family_id: str, automorphisms=()) -> I
     that runs over the solver's value pairs in their order and audits
     every square by the line sums and values of _Geometry.audit_text, the
     test _is_magic runs, before anything else.  A square is skipped after
-    its audit when one of the given non-identity automorphisms maps it to
-    a square made from a smaller pair.
+    its audit when one of the given automorphisms maps it to a square made
+    from a smaller pair.
     """
     constraints = diagonal_constraints(figure)
     x = figure.order
@@ -156,12 +153,12 @@ def _figure_classes(figure: SuperposedGrid, family_id: str) -> Iterator[tuple[in
     (latin, greek) to the one made from the renamed pair.  The solver
     yields the pairs in lexicographic order, and every image of one of its
     squares is one, so a square has an earlier square in its class exactly
-    when one of the non-identity automorphisms gives a smaller pair:
-    _figure_cells skips it after its audit, and no set of squares already
-    seen is kept.
+    when one of the automorphisms gives a smaller pair: _figure_cells
+    skips it after its audit, and no set of squares already seen is kept.
+    All of Aut F is passed; the identity moves no letter, so
+    _least_image_pairs gives it no comparison.
     """
-    identity = tuple(range(figure.order ** 2))
-    yield from _figure_cells(figure, family_id, sorted(_automorphisms(figure) - {identity}))
+    yield from _figure_cells(figure, family_id, sorted(_automorphisms(figure)))
 
 
 def enumerate_family(family_id: str, variant: str = "c") -> Iterator[Square]:

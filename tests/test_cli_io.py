@@ -103,6 +103,16 @@ def test_render_names_both_formats():
     assert str(info.value) == "format must be 'text' or 'structured', got 'yaml'"
 
 
+@pytest.mark.parametrize("fmt, shown", [
+    ("y" * 100000, "'yyyyyyyyyyyyyyy...yyyyyyyyyyyyyyy'"),
+    (10 ** 5000, "1000000000000000...0000000000000000"),
+], ids=["long string", "huge int"])
+def test_render_shortens_a_hostile_format(fmt, shown):
+    with pytest.raises(ValueError) as info:
+        render(SquareDocument(order=1, cells=((1,),)), fmt)
+    assert str(info.value) == f"format must be 'text' or 'structured', got {shown}"
+
+
 LONG = "9" * 4300
 LO_SHU_WITH_LONG_VALUE = (
     '{"order": 3, "cells": [[2, 9, 4], [7, 5, 3], [6, 1, 8]], "family": "e3.reflect", '

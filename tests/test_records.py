@@ -364,6 +364,16 @@ def test_records_refuse_assignment_and_deletion(cls):
             "latin coefficient 1 is not an integer: 'aaaaaaaaaaaaaaa...aaaaaaaaaaaaaaa'",
             id="LinearConstraint-long-coefficient",
         ),
+        pytest.param(
+            lambda: rotate_lines(sample(SuperposedGrid), "x" * 100, 1),
+            "axis must be 'columns' or 'rows', got 'xxxxxxxxxxxxxxx...xxxxxxxxxxxxxxx'",
+            id="rotate_lines-long-axis",
+        ),
+        pytest.param(
+            lambda: rotate_lines(sample(SuperposedGrid), 10 ** 5000, 1),
+            "axis must be 'columns' or 'rows', got 1000000000000000...0000000000000000",
+            id="rotate_lines-huge-axis",
+        ),
     ],
 )
 def test_validation_messages(make, message):

@@ -6,25 +6,6 @@ rows and columns are sum-correct by construction, extracts the linear
 conditions the diagonals impose on letter values, and enumerates or checks
 the resulting squares.
 """
-from .construct import (
-    FAMILIES,
-    MAX_SOLVE_ORDER,
-    ConstraintViolationError,
-    Family,
-    LinearConstraint,
-    MirrorConflictError,
-    OrthogonalityError,
-    build_square,
-    constraint_system_basis,
-    diagonal_constraints,
-    editor_square,
-    equivalent_systems,
-    family_figure,
-    magic_figure,
-    reflect_greek,
-    rotate_lines,
-    solve_assignments,
-)
 from .model import (
     GREEK_LETTERS,
     LATIN_LETTERS,
@@ -44,6 +25,7 @@ from .verify import (
     Axis,
     LineId,
     LineKind,
+    OrthogonalityError,
     OrthogonalityReport,
     RepeatReport,
     VerificationReport,
@@ -73,37 +55,59 @@ def _lazy_submodule(name):
     return module
 
 
-# the CLI's families, gen, verify and constraints never use enumeration, so
-# its source is compiled and run only when one of its attributes (the names
-# below among them) is first read
+# construct and enumeration are compiled and run only when one of their
+# attributes (the names below among them) is first read: only enumerate and
+# oracle run enumeration, and oracle, like verify of a grid or of a document
+# without a "family", never runs construct
+construct = _lazy_submodule("construct")
 enumeration = _lazy_submodule("enumeration")
-_ENUMERATION_NAMES = (
-    "ORACLE_MAX_ORDER",
-    "CanonicalSquare",
-    "FamilyCensus",
-    "SubsetReport",
-    "canonicalize",
-    "census",
-    "dihedral_images",
-    "enumerate_family",
-    "oracle_search",
-    "subset_check",
-)
+_LAZY_NAMES = {
+    **dict.fromkeys((
+        "FAMILIES",
+        "MAX_SOLVE_ORDER",
+        "ConstraintViolationError",
+        "Family",
+        "LinearConstraint",
+        "MirrorConflictError",
+        "build_square",
+        "constraint_system_basis",
+        "diagonal_constraints",
+        "editor_square",
+        "equivalent_systems",
+        "family_figure",
+        "magic_figure",
+        "reflect_greek",
+        "rotate_lines",
+        "solve_assignments",
+    ), construct),
+    **dict.fromkeys((
+        "ORACLE_MAX_ORDER",
+        "CanonicalSquare",
+        "FamilyCensus",
+        "SubsetReport",
+        "canonicalize",
+        "census",
+        "dihedral_images",
+        "enumerate_family",
+        "oracle_search",
+        "subset_check",
+    ), enumeration),
+}
 
 
 def __getattr__(name):
-    if name in _ENUMERATION_NAMES:
-        return getattr(enumeration, name)
+    if name in _LAZY_NAMES:
+        return getattr(_LAZY_NAMES[name], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted({*globals(), *_ENUMERATION_NAMES})
+    return sorted({*globals(), *_LAZY_NAMES})
 
 
 # every public name of the four submodules, without the submodules themselves
 __all__ = sorted([
-    *_ENUMERATION_NAMES,
+    *_LAZY_NAMES,
     *(
         name
         for name in globals()

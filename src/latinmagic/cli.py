@@ -13,18 +13,9 @@ import re
 import sys
 from math import isqrt
 
-from . import enumeration
-from .construct import (
-    FAMILIES,
-    OrthogonalityError,
-    build_square,
-    diagonal_constraints,
-    editor_square,
-    magic_figure,
-    solve_assignments,
-)
+from . import construct, enumeration
 from .model import Square, ValueAssignment, _Record, _brief, _shorten, evaluate
-from .verify import VerificationReport, Verdict, _flat, verify_magic
+from .verify import OrthogonalityError, VerificationReport, Verdict, _flat, verify_magic
 
 
 class SquareParseError(ValueError):
@@ -183,19 +174,20 @@ def _parse_structured(text: str) -> SquareDocument:
             raise SquareParseError(
                 f"'family' must be a string, got {_brief(family)}"
             )
-        if family not in FAMILIES:
-            known = ", ".join(FAMILIES)
+        families = construct.FAMILIES
+        if family not in families:
+            known = ", ".join(families)
             raise SquareParseError(
                 f"'family' {_brief(family)} is not a known family "
                 f"(known: {known})"
             )
-        if FAMILIES[family].order != order:
+        if families[family].order != order:
             raise SquareParseError(
-                f"'family' {family} has order {FAMILIES[family].order}, "
+                f"'family' {family} has order {families[family].order}, "
                 f"but 'cells' has {order} rows"
             )
         for key in ("latin_values", "greek_values"):
-            if key in data and not FAMILIES[family].figures:
+            if key in data and not families[family].figures:
                 raise SquareParseError(
                     f"'{key}' does not apply: {family} is a fixed square "
                     "with no letter values"
@@ -246,7 +238,7 @@ def _provenance_mismatch(doc: SquareDocument) -> str | None:
     assignment = ValueAssignment(doc.latin_values, doc.greek_values)
     built, *others = (
         evaluate(figure, assignment).cells
-        for figure in FAMILIES[doc.family].figures.values()
+        for figure in construct.FAMILIES[doc.family].figures.values()
     )
     if doc.cells == built or doc.cells in others:
         return None
@@ -410,17 +402,18 @@ def _print_squares(flats, fmt: str, header: dict) -> None:
 
 
 def _cmd_gen(args) -> int:
-    family = FAMILIES.get(args.family)
+    family = construct.FAMILIES.get(args.family)
     no_values = args.latin is None and args.greek is None and args.variant == "c"
     if family is not None and not family.figures and no_values:
-        square, values = editor_square(), {}
+        square, values = construct.editor_square(), {}
     else:
-        figure = magic_figure(args.family, args.variant)
+        figure = construct.magic_figure(args.family, args.variant)
         if (args.latin is None) != (args.greek is None):
             raise ValueError("provide both --latin and --greek, or neither")
         if args.latin is None:
             # the solver yields only assignments that meet the constraints
-            assignment = next(solve_assignments(diagonal_constraints(figure), figure.order), None)
+            constraints = construct.diagonal_constraints(figure)
+            assignment = next(construct.solve_assignments(constraints, figure.order), None)
             if assignment is None:
                 raise ValueError(f"family {args.family} admits no satisfying assignment")
             square = evaluate(figure, assignment)
@@ -428,7 +421,7 @@ def _cmd_gen(args) -> int:
             assignment = ValueAssignment(
                 _csv_ints(args.latin, "--latin"), _csv_ints(args.greek, "--greek")
             )
-            square = build_square(args.family, assignment, args.variant)
+            square = construct.build_square(args.family, assignment, args.variant)
         # the document's letter-value fields are named as the assignment's
         values = vars(assignment)
     print(render(SquareDocument(square.order, square.cells, args.family, **values), args.format))
@@ -450,14 +443,14 @@ def _cmd_enumerate(args) -> int:
     if args.count_only:
         print(render(enumeration.census(args.family, variant=args.variant), args.format))
         return 0
-    figure = magic_figure(args.family, args.variant)
+    figure = construct.magic_figure(args.family, args.variant)
     listed = enumeration._figure_classes if args.dedup == "dihedral" else enumeration._figure_cells
     _print_squares(listed(figure, args.family), args.format, {"family": args.family})
     return 0
 
 
 def _cmd_constraints(args) -> int:
-    constraints = diagonal_constraints(magic_figure(args.family, args.variant))
+    constraints = construct.diagonal_constraints(construct.magic_figure(args.family, args.variant))
     if args.format != "text":
         listed = [{"text": str(c), **vars(c)} for c in constraints]
         print(_json_text({"family": args.family, "constraints": listed}))
@@ -479,8 +472,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_families(args) -> int:
-    width = max(len(family_id) for family_id in FAMILIES)
-    for family in FAMILIES.values():
+    width = max(len(family_id) for family_id in construct.FAMILIES)
+    for family in construct.FAMILIES.values():
         print(f"{family.family_id.ljust(width)}  order {family.order}  {family.summary}")
     return 0
 

@@ -30,11 +30,10 @@ from .model import (
 )
 from .verify import (
     Axis,
-    OrthogonalityReport,
+    OrthogonalityError,
     _flat,
     _geometry,
     _unflat,
-    pair_name,
     verify_orthogonality,
 )
 
@@ -62,18 +61,6 @@ class ConstraintViolationError(ValueError):
         self.constraint = constraint
         self.assignment = assignment
         super().__init__(f"assignment violates line constraint: {constraint}")
-
-
-class OrthogonalityError(ValueError):
-    """A figure repeats some letter pair, so no assignment can be magic."""
-
-    def __init__(self, report: OrthogonalityReport):
-        self.report = report
-        dups = ", ".join(
-            f"{pair_name(pair)} at {', '.join(map(str, places))}"
-            for pair, places in report.duplicate_pairs
-        )
-        super().__init__(f"figure repeats letter pairs: {dups}, so it is not enumerable")
 
 
 def reflect_greek(latin: SymbolGrid, axis: Axis) -> SymbolGrid:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import permutations
 
-from .construct import _solve_values, diagonal_constraints, magic_figure
+from . import construct
 from .model import Square, SuperposedGrid, _Record, _brief, _check_order, _rref, magic_constant
 from .verify import _flat, _geometry, _is_magic, _picker, _unflat
 
@@ -122,11 +122,11 @@ def _figure_cells(figure: SuperposedGrid, family_id: str, automorphisms=()) -> I
     its audit when one of the given automorphisms maps it to a square made
     from a smaller pair.
     """
-    constraints = diagonal_constraints(figure)
+    constraints = construct.diagonal_constraints(figure)
     x = figure.order
     namespace: dict = {"values": list(range(1, x * x + 1)), "family_id": family_id}
     exec(compile(_builder_source(figure, automorphisms), f"<figure of order {x}>", "exec"), namespace)
-    yield from namespace["build"](_solve_values(constraints, x))
+    yield from namespace["build"](construct._solve_values(constraints, x))
 
 
 def _automorphisms(figure: SuperposedGrid) -> set[tuple[int, ...]]:
@@ -169,7 +169,7 @@ def enumerate_family(family_id: str, variant: str = "c") -> Iterator[Square]:
     can make magic squares is not enumerable and raises ValueError on the
     first step (OrthogonalityError for a figure that repeats a letter pair).
     """
-    figure = magic_figure(family_id, variant)
+    figure = construct.magic_figure(family_id, variant)
     for flat in _figure_cells(figure, family_id):
         yield Square(_unflat(flat, figure.order))
 
@@ -180,7 +180,7 @@ def census(family_id: str, variant: str = "c") -> FamilyCensus:
     Every square the solver yields is audited inline (_figure_cells)
     before it is counted; the classes are the squares over |Aut F|.
     """
-    figure = magic_figure(family_id, variant)
+    figure = construct.magic_figure(family_id, variant)
     flats = list(_figure_cells(figure, family_id))
     return FamilyCensus(
         family_id=family_id,

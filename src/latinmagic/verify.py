@@ -333,6 +333,18 @@ def verify_orthogonality(pairs: SuperposedGrid) -> OrthogonalityReport:
     )
 
 
+class OrthogonalityError(ValueError):
+    """A figure repeats some letter pair, so no assignment can be magic."""
+
+    def __init__(self, report: OrthogonalityReport):
+        self.report = report
+        dups = ", ".join(
+            f"{pair_name(pair)} at {', '.join(map(str, places))}"
+            for pair, places in report.duplicate_pairs
+        )
+        super().__init__(f"figure repeats letter pairs: {dups}, so it is not enumerable")
+
+
 def pair_name(pair: tuple[int, int]) -> str:
     """Compact letter form of a (latin, greek) index pair, e.g. 'bβ'."""
     return (

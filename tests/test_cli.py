@@ -348,7 +348,6 @@ def test_gen_builds_its_figure_once(capsys, monkeypatch):
 
     counted(construct, "verify_orthogonality")
     counted(construct, "diagonal_constraints")
-    counted(cli_module, "diagonal_constraints")
     code, out, _ = cli(capsys, "gen", "--family", "e5.center")
     assert code == 0 and out
     assert calls == {"verify_orthogonality": 1, "diagonal_constraints": 1}
@@ -363,15 +362,15 @@ def test_gen_builds_given_values_and_evaluates_solved_ones(
 ):
     spies = []
     for module, name in (
-        (cli_module, "build_square"), (cli_module, "evaluate"),
-        (construct, "diagonal_constraints"), (cli_module, "diagonal_constraints"),
+        (construct, "build_square"), (cli_module, "evaluate"),
+        (construct, "diagonal_constraints"),
     ):
         spies.append(mock.Mock(wraps=getattr(module, name)))
         monkeypatch.setattr(module, name, spies[-1])
     code, out, _ = cli(capsys, "gen", "--family", "e5.center", *values)
     assert code == 0 and out
     counts = [spy.call_count for spy in spies]
-    assert (counts[0], counts[1], counts[2] + counts[3]) == (built, evaluated, 1)
+    assert (counts[0], counts[1], counts[2]) == (built, evaluated, 1)
 
 
 def test_gen_argument_errors(capsys):
@@ -389,7 +388,7 @@ def test_gen_argument_errors(capsys):
 
 
 def test_gen_reports_a_solver_with_no_assignment(capsys, monkeypatch):
-    monkeypatch.setattr(cli_module, "solve_assignments", lambda constraints, x: iter(()))
+    monkeypatch.setattr(construct, "solve_assignments", lambda constraints, x: iter(()))
     code, out, err = cli(capsys, "gen", "--family", "e3.reflect")
     assert (code, out) == (2, "")
     assert err == "error: family e3.reflect admits no satisfying assignment\n"
@@ -1077,6 +1076,50 @@ def test_only_enumerate_and_oracle_run_the_enumeration_module(argv, executed):
         capture_output=True, text=True, env=CHILD_ENV, check=True,
     )
     assert child.stdout == f"0 {executed}\n"
+
+
+TRANSCRIPT_INPUTS = Path(__file__).parent / "transcript_inputs"
+
+
+@pytest.mark.parametrize("argv, executed", [
+    ((), False),
+    (("verify", GOLDEN_E3), False),
+    (("verify", str(TRANSCRIPT_INPUTS / "lo_shu_bom.json")), False),
+    (("oracle", "--order", "3", "--count-only"), False),
+    (("families",), True),
+    (("gen", "--family", "e5.center"), True),
+    (("constraints", "--family", "e4.diag"), True),
+    (("enumerate", "--family", "e4.diag", "--count-only"), True),
+    (("verify", str(TRANSCRIPT_INPUTS / "e4_diag_c.json")), True),
+])
+def test_only_commands_that_read_a_family_run_the_construct_module(argv, executed):
+    # as for enumeration above: construct is registered lazily, and a
+    # structured document runs it only when it names a "family"
+    child = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import contextlib, io, sys, types; import latinmagic.cli; argv = sys.argv[1:]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = latinmagic.cli.run(argv) if argv else 0\n"
+            "print(code, type(sys.modules['latinmagic.construct']) is types.ModuleType)",
+            *argv,
+        ],
+        capture_output=True, text=True, env=CHILD_ENV, check=True,
+    )
+    assert child.stdout == f"0 {executed}\n"
+
+
+def test_a_fresh_cli_exits_1_for_a_figure_with_repeated_pairs():
+    # construct raises the error class that cli.run catches; both take it from verify
+    child = subprocess.run(
+        [sys.executable, "-m", "latinmagic", "gen", "--family", "e6.paired"],
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    assert (child.returncode, child.stdout) == (1, "")
+    assert child.stderr == (
+        "error: figure repeats letter pairs: bβ at (2, 2), (3, 3), "
+        "eε at (2, 3), (3, 2), so it is not enumerable\n"
+    )
 
 
 def test_cli_import_registers_every_submodule():

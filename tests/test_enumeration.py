@@ -28,7 +28,7 @@ from latinmagic import (
     subset_check,
     verify_magic,
 )
-from latinmagic import enumeration
+from latinmagic import construct, enumeration
 from latinmagic.enumeration import (
     _automorphisms,
     _builder_source,
@@ -183,7 +183,7 @@ def unsound_solver(constraints, x):
 
 
 def test_enumerate_audits_every_square(monkeypatch):
-    monkeypatch.setattr(enumeration, "_solve_values", unsound_solver)
+    monkeypatch.setattr(construct, "_solve_values", unsound_solver)
     found = enumerate_family("e3.reflect")
     assert next(found).cells == LO_SHU_CELLS
     with pytest.raises(AssertionError, match="constraint extraction is unsound"):
@@ -217,7 +217,7 @@ def test_census_counts():
 
 
 def test_census_audits_every_square(monkeypatch):
-    monkeypatch.setattr(enumeration, "_solve_values", unsound_solver)
+    monkeypatch.setattr(construct, "_solve_values", unsound_solver)
     with pytest.raises(AssertionError, match="constraint extraction is unsound"):
         census("e3.reflect")
 
@@ -226,7 +226,7 @@ def test_audit_refuses_a_pair_that_is_not_a_permutation(monkeypatch):
     def repeating_solver(constraints, x):
         yield (0, 3, 3), (1, 3, 2)  # latin 3 twice, 6 missing
 
-    monkeypatch.setattr(enumeration, "_solve_values", repeating_solver)
+    monkeypatch.setattr(construct, "_solve_values", repeating_solver)
     message = (
         r"family e3\.reflect produced a non-magic square for latin values "
         r"\(0, 3, 3\) and greek values \(1, 3, 2\); constraint extraction is unsound"
@@ -239,7 +239,7 @@ def test_audit_refuses_a_pair_that_is_not_a_permutation(monkeypatch):
 
 def test_builder_names_any_family_id_verbatim(monkeypatch):
     # the id is read as a value by the compiled builder, never pasted into its source
-    monkeypatch.setattr(enumeration, "_solve_values", unsound_solver)
+    monkeypatch.setattr(construct, "_solve_values", unsound_solver)
     family_id = "e3'{x}\"\\n"
     message = (
         f"family {family_id} produced a non-magic square for latin values "
@@ -354,7 +354,7 @@ def test_compiled_builder_fails_on_its_first_step(monkeypatch):
     def failing_extraction(figure):
         raise RuntimeError("extraction ran")
 
-    monkeypatch.setattr(enumeration, "diagonal_constraints", failing_extraction)
+    monkeypatch.setattr(construct, "diagonal_constraints", failing_extraction)
     cells = _figure_cells(magic_figure("e3.reflect"), "e3.reflect")
     with pytest.raises(RuntimeError, match="extraction ran"):
         next(cells)
@@ -595,7 +595,7 @@ def test_figure_classes_stream_from_the_first_solver_pair(monkeypatch):
             drawn.append(pair)
             yield pair
 
-    monkeypatch.setattr(enumeration, "_solve_values", counting)
+    monkeypatch.setattr(construct, "_solve_values", counting)
     assert next(_figure_classes(figure, "e5.diag")) == first
     assert len(drawn) == 1
 
@@ -634,7 +634,7 @@ def test_figure_classes_audit_every_square(monkeypatch, family_id, unsound):
         yield first
         yield unsound
 
-    monkeypatch.setattr(enumeration, "_solve_values", solver)
+    monkeypatch.setattr(construct, "_solve_values", solver)
     message = (
         rf"family {family_id} produced a non-magic square for latin values "
         rf"{re.escape(str(unsound[0]))} and greek values {re.escape(str(unsound[1]))}; "

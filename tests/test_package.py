@@ -1,8 +1,10 @@
-"""The package's public surface: its names, star import and lazy enumeration names."""
+"""The package's public surface: its names, star import and lazy construct and enumeration names."""
 import pytest
 
 import latinmagic
+import latinmagic.construct
 import latinmagic.enumeration
+import latinmagic.verify
 
 PUBLIC_NAMES = [
     "Axis", "CanonicalSquare", "ConstraintViolationError", "FAMILIES", "Family",
@@ -17,6 +19,13 @@ PUBLIC_NAMES = [
     "magic_figure", "oracle_search", "pair_name", "reflect_greek", "rotate_lines",
     "solve_assignments", "subset_check", "superpose", "verify_latin", "verify_magic",
     "verify_orthogonality",
+]
+
+CONSTRUCT_NAMES = [
+    "FAMILIES", "MAX_SOLVE_ORDER", "ConstraintViolationError", "Family", "LinearConstraint",
+    "MirrorConflictError", "build_square", "constraint_system_basis", "diagonal_constraints",
+    "editor_square", "equivalent_systems", "family_figure", "magic_figure", "reflect_greek",
+    "rotate_lines", "solve_assignments",
 ]
 
 ENUMERATION_NAMES = [
@@ -38,6 +47,23 @@ def test_star_import_binds_every_public_name():
 @pytest.mark.parametrize("name", ENUMERATION_NAMES)
 def test_enumeration_names_are_the_submodules_own(name):
     assert getattr(latinmagic, name) is getattr(latinmagic.enumeration, name)
+
+
+@pytest.mark.parametrize("name", CONSTRUCT_NAMES)
+def test_construct_names_are_the_submodules_own(name):
+    assert getattr(latinmagic, name) is getattr(latinmagic.construct, name)
+
+
+def test_orthogonality_error_is_one_class_with_one_message():
+    error = latinmagic.verify.OrthogonalityError
+    assert latinmagic.OrthogonalityError is error
+    assert latinmagic.construct.OrthogonalityError is error
+    with pytest.raises(error) as info:
+        latinmagic.magic_figure("e6.paired")
+    assert str(info.value) == (
+        "figure repeats letter pairs: bβ at (2, 2), (3, 3), "
+        "eε at (2, 3), (3, 2), so it is not enumerable"
+    )
 
 
 def test_dir_lists_the_public_names():

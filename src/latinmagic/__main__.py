@@ -1,3 +1,11 @@
+import gc
+
+# One command per process: its squares are acyclic tuples of ints and the
+# process exits right after, so the cyclic collector's passes would only
+# re-walk a heap about to be dropped.  Off before cli's import, which
+# allocates enough to trigger them too.
+gc.disable()
+
 from .cli import main
 
 main()

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import re
 import sys
@@ -550,4 +551,18 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The console script: run sys.argv's command and exit with its code.
+
+    The cyclic garbage collector is off while the command runs, and back in
+    the state main found it in afterwards.  run and the library leave it
+    alone.
+    """
+    # one command per process, over acyclic tuples of ints, with the exit
+    # right after: a collector pass would only re-walk a heap about to go
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sys.exit(run(sys.argv[1:]))
+    finally:
+        if enabled:
+            gc.enable()

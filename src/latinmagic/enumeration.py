@@ -9,7 +9,7 @@ from collections.abc import Iterator
 from itertools import permutations
 
 from . import construct
-from .model import Square, SuperposedGrid, _Record, _brief, _check_order, _rref, magic_constant
+from .model import Square, SuperposedGrid, _Record, _brief, _check_instance, _check_order, _rref, magic_constant
 from .verify import _flat, _geometry, _is_magic, _picker, _unflat
 
 ORACLE_MAX_ORDER = 4
@@ -59,6 +59,7 @@ def _classes(flats, x: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
 
 def canonicalize(square: Square) -> CanonicalSquare:
     """The least of the square's eight images, compared as row-major tuples."""
+    _check_instance(square, Square, "square")
     least = _canonical_flat(_flat(square.cells), square.order)
     return CanonicalSquare(Square(_unflat(least, square.order)))
 
@@ -442,14 +443,9 @@ def subset_check(
     family_id: str, oracle: set[Square], variant: str = "c"
 ) -> SubsetReport:
     """Verify every square a family yields is present in the oracle set."""
-    order = next(iter(oracle)).order if oracle else None
-    missing: list[Square] = []
-    for square in enumerate_family(family_id, variant=variant):
-        if order is not None and square.order != order:
-            raise ValueError(
-                f"family {family_id} has order {square.order}, oracle squares "
-                f"have order {order}"
-            )
-        if square not in oracle:
-            missing.append(square)
-    return SubsetReport(ok=not missing, missing=tuple(missing))
+    order = construct.magic_figure(family_id, variant).order
+    oracle_order = next(iter(oracle)).order if oracle else order
+    if oracle_order != order:
+        raise ValueError(f"family {family_id} has order {order}, oracle squares have order {oracle_order}")
+    missing = tuple(square for square in enumerate_family(family_id, variant=variant) if square not in oracle)
+    return SubsetReport(ok=not missing, missing=missing)

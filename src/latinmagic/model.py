@@ -133,6 +133,11 @@ def _check_member(value, enum: type[Enum], what: str) -> None:
         raise ValueError(f"{what} must be one of {known}, got {_brief(value)}")
 
 
+def _check_instance(value, cls: type, what: str) -> None:
+    if not isinstance(value, cls):
+        raise ValueError(f"{what} must be a {cls.__name__}, got {_brief(value)}")
+
+
 def _check_integer(value, what: str) -> None:
     """Refuse anything but an int that is not a bool, naming what it is."""
     if not isinstance(value, int) or isinstance(value, bool):

@@ -22,6 +22,7 @@ from .model import (
     SymbolId,
     _Record,
     _brief,
+    _check_instance,
     _check_integer,
     _check_member,
     _check_order,
@@ -218,6 +219,7 @@ def _repeats(keyed: Iterable[tuple]) -> tuple[tuple, ...]:
 
 def line_sums(square: Square) -> dict[LineId, int]:
     """Sum of every line of the square, keyed by line."""
+    _check_instance(square, Square, "square")
     geometry = _geometry(square.order)
     flat = _flat(square.cells)
     return {
@@ -242,6 +244,7 @@ def verify_magic(square: Square) -> VerificationReport:
     The expected sum is always magic_constant(x) for the square's own order;
     input values are not assumed to lie in 1..x*x, they are just checked.
     """
+    _check_instance(square, Square, "square")
     x = square.order
     expected = magic_constant(x)
     sums = line_sums(square)

@@ -1,5 +1,6 @@
 """Command line behavior: parsing, rendering, subcommands, exit codes."""
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -1140,3 +1141,61 @@ def test_main_exits_with_run_code(capsys, monkeypatch):
     with pytest.raises(SystemExit) as info:
         main()
     assert info.value.code == 0
+
+
+@contextlib.contextmanager
+def collector(enabled: bool):
+    """The cyclic garbage collector switched on or off, and restored after."""
+    saved = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if saved else gc.disable)()
+
+
+def test_python_m_latinmagic_runs_without_the_cyclic_collector():
+    # runpy runs __main__.py as python -m does, in a fresh interpreter whose collector is on
+    child = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import gc, runpy, sys\n"
+            "sys.argv = ['latinmagic', 'families']\n"
+            "try:\n"
+            "    runpy.run_module('latinmagic', run_name='__main__')\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "sys.stderr.write(str(gc.isenabled()))\n",
+        ],
+        capture_output=True, text=True, env=CHILD_ENV, check=True,
+    )
+    assert child.stderr == "False"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv, code", [
+    (["families"], 0),
+    (["gen", "--family", "e4.diag", "--variant", "zz"], 2),
+])
+def test_run_leaves_the_cyclic_collector_as_it_found_it(capsys, enabled, argv, code):
+    with collector(enabled):
+        assert run(argv) == code
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_runs_the_command_without_the_cyclic_collector(monkeypatch, enabled):
+    seen = []
+
+    def spy(argv):
+        seen.append((argv, gc.isenabled()))
+        return 0
+
+    monkeypatch.setattr("sys.argv", ["latinmagic", "families"])
+    monkeypatch.setattr(cli_module, "run", spy)
+    with collector(enabled):
+        with pytest.raises(SystemExit) as info:
+            cli_module.main()
+        assert gc.isenabled() is enabled
+    assert info.value.code == 0
+    assert seen == [(["families"], False)]

@@ -18,6 +18,7 @@ from latinmagic import (
     ValueAssignment,
     Verdict,
     all_lines,
+    canonicalize,
     dihedral_images,
     evaluate,
     line_positions,
@@ -140,6 +141,18 @@ def test_expected_sum_always_tracks_order():
     for x in (1, 2, 3, 4, 5, 6):
         square = Square(tuple(tuple(0 for _ in range(x)) for _ in range(x)))
         assert verify_magic(square).expected_sum == magic_constant(x)
+
+
+@pytest.mark.parametrize("audit", [verify_magic, line_sums, canonicalize])
+@pytest.mark.parametrize("value, shown", [
+    (None, "None"),
+    (((2, 9, 4), (7, 5, 3), (6, 1, 8)), "((2, 9, 4), (7, 5, 3), (6, 1, 8))"),
+    (letter_grid(Role.LATIN, LATIN_3), "SymbolGrid(role=... 0), (2, 0, 1)))"),
+], ids=["None", "rows", "SymbolGrid"])
+def test_square_audits_refuse_anything_but_a_square(audit, value, shown):
+    with pytest.raises(ValueError) as info:
+        audit(value)
+    assert str(info.value) == f"square must be a Square, got {shown}"
 
 
 def test_verify_latin_rows_and_columns():

@@ -7,6 +7,7 @@ reader of stdout goes away.
 from __future__ import annotations
 
 import argparse
+import atexit
 import functools
 import gc
 import os
@@ -554,13 +555,17 @@ def main() -> None:
     """The console script: run sys.argv's command and exit with its code.
 
     The cyclic garbage collector is off while the command runs, and back in
-    the state main found it in afterwards.  run and the library leave it
-    alone.
+    the state main found it in afterwards.  At the interpreter's exit, the
+    heap is frozen before the module teardown's collections, which
+    gc.disable() does not stop.  run and the library leave gc alone.
     """
     # one command per process, over acyclic tuples of ints, with the exit
-    # right after: a collector pass would only re-walk a heap about to go
+    # right after: a collector pass would only re-walk a heap about to go.
+    # atexit callbacks run before the teardown collects, and those
+    # collections skip what gc.freeze() moved to the permanent generation.
     enabled = gc.isenabled()
     gc.disable()
+    atexit.register(gc.freeze)
     try:
         sys.exit(run(sys.argv[1:]))
     finally:

@@ -21,6 +21,7 @@ from .model import (
     _primitive,
     _Record,
     _brief,
+    _check_instance,
     _check_integer,
     _check_member,
     _reduce,
@@ -71,6 +72,7 @@ def reflect_greek(latin: SymbolGrid, axis: Axis) -> SymbolGrid:
     off-axis mirror pair to hold two different Latin letters, otherwise the
     superposed figure would repeat a doubled pair.
     """
+    _check_instance(latin, SymbolGrid, "latin")
     _check_member(axis, Axis, "axis")
     if latin.role is not Role.LATIN:
         raise ValueError("reflect_greek expects a latin component")
@@ -92,6 +94,7 @@ def rotate_lines(grid: SuperposedGrid, axis: str, shift: int) -> SuperposedGrid:
     axis is "columns" or "rows".  A shift of -1 moves the first column (or
     row) to the far end; +1 moves the last one to the front.
     """
+    _check_instance(grid, SuperposedGrid, "grid")
     if axis not in ("columns", "rows"):
         raise ValueError(f"axis must be 'columns' or 'rows', got {_brief(axis)}")
     _check_integer(shift, "shift")
@@ -213,6 +216,7 @@ def diagonal_constraints(pairs: SuperposedGrid) -> tuple[LinearConstraint, ...]:
     A condition that couples both alphabets is split into its per-alphabet
     halves when the system already implies each half separately.
     """
+    _check_instance(pairs, SuperposedGrid, "pairs")
     x = pairs.order
     flat = _flat(pairs.cells)
     raw: list[LinearConstraint] = []
@@ -472,6 +476,7 @@ def build_square(
     The figure must use each letter pair exactly once (see magic_figure)
     and the assignment must satisfy every line constraint of the figure.
     """
+    _check_instance(assignment, ValueAssignment, "assignment")
     figure = magic_figure(family_id, variant)
     if figure.order != assignment.order:
         raise ValueError(

@@ -321,6 +321,8 @@ def compose(m: int, n: int, x: int) -> int:
 
 def superpose(latin: SymbolGrid, greek: SymbolGrid) -> SuperposedGrid:
     """Pair two same-order component grids cell by cell."""
+    _check_instance(latin, SymbolGrid, "latin")
+    _check_instance(greek, SymbolGrid, "greek")
     if latin.role is not Role.LATIN:
         raise ValueError(f"first component must be latin, got {latin.role.value}")
     if greek.role is not Role.GREEK:
@@ -342,6 +344,8 @@ def superpose(latin: SymbolGrid, greek: SymbolGrid) -> SuperposedGrid:
 
 def evaluate(pairs: SuperposedGrid, assignment: ValueAssignment) -> Square:
     """Turn a pair grid into numbers: cell value = latin value + greek value."""
+    _check_instance(pairs, SuperposedGrid, "pairs")
+    _check_instance(assignment, ValueAssignment, "assignment")
     if pairs.order != assignment.order:
         raise ValueError(
             f"grid order {pairs.order} does not match assignment order "

@@ -79,6 +79,7 @@ def all_lines(x: int) -> tuple[LineId, ...]:
 
 def line_positions(line: LineId, x: int) -> tuple[tuple[int, int], ...]:
     """Row-major cell positions belonging to the given line."""
+    _check_instance(line, LineId, "line")
     _check_order(x)
     if line.kind in (LineKind.ROW, LineKind.COLUMN) and not 0 <= line.index < x:
         raise ValueError(f"line index {_brief(line.index)} outside 0..{_brief(x - 1)}")
@@ -296,6 +297,7 @@ def verify_latin(grid: SymbolGrid, include_diagonals: bool = False) -> RepeatRep
     With include_diagonals=True the two diagonals are audited as well; the
     construction rules deliberately allow repeats there, so the caller picks.
     """
+    _check_instance(grid, SymbolGrid, "grid")
     geometry = _geometry(grid.order)
     flat = _flat(grid.cells)
     # rows and columns come first, the two diagonals last
@@ -319,6 +321,7 @@ class OrthogonalityReport(_Record):
 
 def verify_orthogonality(pairs: SuperposedGrid) -> OrthogonalityReport:
     """Check pair uniqueness; duplicates come with their cell positions."""
+    _check_instance(pairs, SuperposedGrid, "pairs")
     x = pairs.order
     flat = tuple(tuple(pair) for row in pairs.cells for pair in row)
     duplicates = _repeats((pair, divmod(k, x)) for k, pair in enumerate(flat))

@@ -1199,3 +1199,39 @@ def test_main_runs_the_command_without_the_cyclic_collector(monkeypatch, enabled
         assert gc.isenabled() is enabled
     assert info.value.code == 0
     assert seen == [(["families"], False)]
+
+
+@pytest.mark.parametrize("entry", [
+    "runpy.run_module('latinmagic', run_name='__main__')",
+    "latinmagic.cli.main()",
+], ids=["python-m", "console-script"])
+def test_main_freezes_the_heap_for_the_exit_collections(entry):
+    # atexit runs its callbacks last in, first out: the probe, registered
+    # before main, sees the heap after main's callback has run
+    child = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import atexit, gc, runpy, sys, latinmagic.cli\n"
+            "atexit.register(lambda: sys.stderr.write(str(gc.get_freeze_count() > 0)))\n"
+            "sys.argv = ['latinmagic', 'families']\n"
+            "try:\n"
+            f"    {entry}\n"
+            "except SystemExit:\n"
+            "    pass\n",
+        ],
+        capture_output=True, text=True, env=CHILD_ENV, check=True,
+    )
+    assert child.stdout
+    assert child.stderr == "True"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_heap_unfrozen_until_exit(monkeypatch, enabled):
+    monkeypatch.setattr("sys.argv", ["latinmagic", "families"])
+    monkeypatch.setattr(cli_module, "run", lambda argv: 0)
+    frozen = gc.get_freeze_count()
+    with collector(enabled):
+        with pytest.raises(SystemExit):
+            cli_module.main()
+        assert gc.isenabled() is enabled
+    assert gc.get_freeze_count() == frozen

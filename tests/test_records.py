@@ -5,6 +5,7 @@ import inspect
 import pytest
 
 from latinmagic import (
+    Axis,
     CanonicalSquare,
     Family,
     FamilyCensus,
@@ -23,13 +24,20 @@ from latinmagic import (
     Verdict,
     VerificationReport,
     all_lines,
+    build_square,
     compose,
     decompose,
+    diagonal_constraints,
+    evaluate,
     line_positions,
     magic_constant,
+    reflect_greek,
     rotate_lines,
     solve_assignments,
+    superpose,
+    verify_latin,
     verify_magic,
+    verify_orthogonality,
 )
 from latinmagic.cli import SquareDocument
 from latinmagic.model import _Record
@@ -373,6 +381,62 @@ def test_records_refuse_assignment_and_deletion(cls):
             lambda: rotate_lines(sample(SuperposedGrid), 10 ** 5000, 1),
             "axis must be 'columns' or 'rows', got 1000000000000000...0000000000000000",
             id="rotate_lines-huge-axis",
+        ),
+        # a record argument of the wrong type, refused before any other read
+        pytest.param(
+            lambda: evaluate(None, sample(ValueAssignment)),
+            "pairs must be a SuperposedGrid, got None",
+            id="evaluate-pairs-None",
+        ),
+        pytest.param(
+            lambda: evaluate(sample(SuperposedGrid), None),
+            "assignment must be a ValueAssignment, got None",
+            id="evaluate-assignment-None",
+        ),
+        pytest.param(
+            lambda: superpose(None, sample(SymbolGrid)),
+            "latin must be a SymbolGrid, got None",
+            id="superpose-latin-None",
+        ),
+        pytest.param(
+            lambda: superpose(SymbolGrid(Role.LATIN, ((0, 1), (1, 0))), None),
+            "greek must be a SymbolGrid, got None",
+            id="superpose-greek-None",
+        ),
+        pytest.param(
+            lambda: reflect_greek(None, Axis.MAIN_DIAGONAL),
+            "latin must be a SymbolGrid, got None",
+            id="reflect_greek-latin-None",
+        ),
+        pytest.param(
+            lambda: rotate_lines(None, "columns", 1),
+            "grid must be a SuperposedGrid, got None",
+            id="rotate_lines-grid-None",
+        ),
+        pytest.param(
+            lambda: diagonal_constraints(None),
+            "pairs must be a SuperposedGrid, got None",
+            id="diagonal_constraints-pairs-None",
+        ),
+        pytest.param(
+            lambda: verify_latin(None),
+            "grid must be a SymbolGrid, got None",
+            id="verify_latin-grid-None",
+        ),
+        pytest.param(
+            lambda: verify_orthogonality(None),
+            "pairs must be a SuperposedGrid, got None",
+            id="verify_orthogonality-pairs-None",
+        ),
+        pytest.param(
+            lambda: line_positions(None, 3),
+            "line must be a LineId, got None",
+            id="line_positions-line-None",
+        ),
+        pytest.param(
+            lambda: build_square("e3.reflect", None),
+            "assignment must be a ValueAssignment, got None",
+            id="build_square-assignment-None",
         ),
     ],
 )

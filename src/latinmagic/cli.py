@@ -122,12 +122,7 @@ def parse_square(text: str) -> SquareDocument:
         if tokens:
             rows.append((lineno, tokens))
     order = len(rows)
-    for lineno, tokens in rows:
-        if len(tokens) != order:
-            raise SquareParseError(
-                f"ragged grid at line {lineno}: expected {order} cells, "
-                f"found {len(tokens)}"
-            )
+    _check_rows(rows, order, "line")
     cells = []
     for lineno, tokens in rows:
         row = []
@@ -135,6 +130,13 @@ def parse_square(text: str) -> SquareDocument:
             row.append(_integer(token, f"line {lineno}, column {column}"))
         cells.append(tuple(row))
     return SquareDocument(order=order, cells=tuple(cells))
+
+
+def _check_rows(rows, order: int, unit: str) -> None:
+    """Refuse the first (number, row) of rows whose row does not hold order cells; unit names the number."""
+    for number, row in rows:
+        if len(row) != order:
+            raise SquareParseError(f"ragged grid at {unit} {number}: expected {order} cells, found {len(row)}")
 
 
 def _parse_structured(text: str) -> SquareDocument:
@@ -164,12 +166,7 @@ def _parse_structured(text: str) -> SquareDocument:
     order = data.get("order", len(cells))
     if not _json_int(order, "'order'") or order != len(cells):
         raise SquareParseError(f"'order' is {_brief(order)} but 'cells' has {len(cells)} rows")
-    for i, row in enumerate(cells):
-        if len(row) != order:
-            raise SquareParseError(
-                f"ragged grid at row {i}: expected {order} cells, "
-                f"found {len(row)}"
-            )
+    _check_rows(enumerate(cells), order, "row")
     family = data.get("family")
     if "family" in data:
         if not isinstance(family, str):

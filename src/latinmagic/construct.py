@@ -23,6 +23,7 @@ from .model import (
     _brief,
     _check_instance,
     _check_integer,
+    _check_integers,
     _check_member,
     _reduce,
     _rref,
@@ -122,12 +123,8 @@ class LinearConstraint(_Record):
 
     def _post_init(self) -> None:
         latin, greek = self.latin, self.greek
-        for side, coeffs in (("latin", latin), ("greek", greek)):
-            for k, c in enumerate(coeffs):
-                if not isinstance(c, int) or isinstance(c, bool):
-                    raise ValueError(
-                        f"{side} coefficient {k} is not an integer: {_brief(c)}"
-                    )
+        _check_integers(latin, "latin coefficient")
+        _check_integers(greek, "greek coefficient")
         if len(latin) != len(greek):
             raise ValueError("latin and greek coefficient lists differ in length")
         if not latin:
@@ -234,8 +231,8 @@ def diagonal_constraints(pairs: SuperposedGrid) -> tuple[LinearConstraint, ...]:
         raw.append(LinearConstraint(latin, greek))
 
     basis, pivots = _rref(c.vector() for c in raw)
-    out: list[LinearConstraint] = []
-    out_seen: set[tuple[int, ...]] = set()
+    # each condition by its canonical key, in first-seen order
+    out: dict[tuple[int, ...], LinearConstraint] = {}
     for constraint in raw:
         parts = [constraint]
         if constraint.is_coupled() and not any(
@@ -243,11 +240,8 @@ def diagonal_constraints(pairs: SuperposedGrid) -> tuple[LinearConstraint, ...]:
         ):
             parts = [constraint.latin_side(), constraint.greek_side()]
         for part in parts:
-            key = part.canonical_key()
-            if key not in out_seen:
-                out_seen.add(key)
-                out.append(part)
-    return tuple(out)
+            out.setdefault(part.canonical_key(), part)
+    return tuple(out.values())
 
 
 def solve_assignments(constraints, x: int):
@@ -297,14 +291,10 @@ def _solve_values(constraints, x: int):
 
 # --- figure families -------------------------------------------------------
 
-_LATIN_INDEX = {ch: k for k, ch in enumerate(LATIN_LETTERS)}
-_GREEK_INDEX = {ch: k for k, ch in enumerate(GREEK_LETTERS)}
-
-
 def _pair_grid(text: str) -> SuperposedGrid:
     cells = tuple(
         tuple(
-            (_LATIN_INDEX[token[0]], _GREEK_INDEX[token[1]])
+            (LATIN_LETTERS.index(token[0]), GREEK_LETTERS.index(token[1]))
             for token in line.split()
         )
         for line in text.strip().splitlines()
@@ -315,7 +305,7 @@ def _pair_grid(text: str) -> SuperposedGrid:
 def _mirrored(text: str, axis: Axis) -> SuperposedGrid:
     """The Latin grid written in text, superposed on its own mirror image as the Greek part."""
     cells = tuple(
-        tuple(_LATIN_INDEX[token] for token in line.split())
+        tuple(map(LATIN_LETTERS.index, line.split()))
         for line in text.strip().splitlines()
     )
     latin = SymbolGrid(Role.LATIN, cells)

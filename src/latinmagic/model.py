@@ -144,6 +144,13 @@ def _check_integer(value, what: str) -> None:
         raise ValueError(f"{what} must be an integer, got {_brief(value)}")
 
 
+def _check_integers(values, what: str) -> None:
+    """Refuse the first item that is not an int or is a bool, naming what and its index."""
+    for k, v in enumerate(values):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"{what} {k} is not an integer: {_brief(v)}")
+
+
 def _shown(values) -> str:
     """values shown as a list, with each long value shortened."""
     return "[" + ", ".join(map(_brief, values)) + "]"
@@ -169,7 +176,15 @@ def _check_index(idx, i: int, j: int, order: int) -> None:
         raise ValueError(f"cell ({i}, {j}) index {_brief(idx)} outside 0..{order - 1}")
 
 
-class SymbolGrid(_Record):
+class _Grid:
+    """The order of a record whose cells are a tuple of rows."""
+
+    @property
+    def order(self) -> int:
+        return len(self.cells)
+
+
+class SymbolGrid(_Record, _Grid):
     """A square grid of symbol indices drawn from a single alphabet.
 
     Cells hold 0-based indices; row 0 is the top row and cell (i, j) sits at
@@ -187,12 +202,8 @@ class SymbolGrid(_Record):
             for j, idx in enumerate(row):
                 _check_index(idx, i, j, order)
 
-    @property
-    def order(self) -> int:
-        return len(self.cells)
 
-
-class SuperposedGrid(_Record):
+class SuperposedGrid(_Record, _Grid):
     """A grid of (latin index, greek index) pairs, one pair per cell."""
 
     cells: tuple[tuple[tuple[int, int], ...], ...]
@@ -206,21 +217,15 @@ class SuperposedGrid(_Record):
                 for idx in pair:
                     _check_index(idx, i, j, order)
 
-    @property
-    def order(self) -> int:
-        return len(self.cells)
-
     def latin_component(self) -> SymbolGrid:
-        return SymbolGrid(
-            Role.LATIN,
-            tuple(tuple(pair[0] for pair in row) for row in self.cells),
-        )
+        return self._component(Role.LATIN, 0)
 
     def greek_component(self) -> SymbolGrid:
-        return SymbolGrid(
-            Role.GREEK,
-            tuple(tuple(pair[1] for pair in row) for row in self.cells),
-        )
+        return self._component(Role.GREEK, 1)
+
+    def _component(self, role: Role, side: int) -> SymbolGrid:
+        """The grid of each pair's index at side: 0 for Latin, 1 for Greek."""
+        return SymbolGrid(role, tuple(tuple(pair[side] for pair in row) for row in self.cells))
 
 
 class ValueAssignment(_Record):
@@ -244,10 +249,8 @@ class ValueAssignment(_Record):
             )
         if x == 0:
             raise ValueError("value assignment must cover at least one letter")
-        for side, values in (("latin", latin), ("greek", greek)):
-            for k, v in enumerate(values):
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise ValueError(f"{side} value {k} is not an integer: {_brief(v)}")
+        _check_integers(latin, "latin value")
+        _check_integers(greek, "greek value")
         if sorted(latin) != list(range(0, x * x, x)):
             raise ValueError(
                 f"latin values must be a permutation of multiples of {x} "
@@ -263,7 +266,7 @@ class ValueAssignment(_Record):
         return len(self.latin_values)
 
 
-class Square(_Record):
+class Square(_Record, _Grid):
     """A numeric square grid.
 
     Cells are plain integers with no range restriction so that malformed
@@ -278,10 +281,6 @@ class Square(_Record):
             for j, value in enumerate(row):
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise ValueError(f"cell ({i}, {j}) is not an integer")
-
-    @property
-    def order(self) -> int:
-        return len(self.cells)
 
 
 def _check_order(x: int) -> None:

@@ -24,7 +24,9 @@ from .model import (
     _check_instance,
     _check_integer,
     _check_integers,
+    _check_items,
     _check_member,
+    _check_sequence,
     _reduce,
     _rref,
     evaluate,
@@ -122,7 +124,9 @@ class LinearConstraint(_Record):
     greek: tuple[int, ...]
 
     def _post_init(self) -> None:
-        latin, greek = self.latin, self.greek
+        latin = _check_sequence(self.latin, "latin coefficients")
+        greek = _check_sequence(self.greek, "greek coefficients")
+        self.__dict__.update(latin=latin, greek=greek)
         _check_integers(latin, "latin coefficient")
         _check_integers(greek, "greek coefficient")
         if len(latin) != len(greek):
@@ -187,7 +191,7 @@ def constraint_system_basis(
     are equal.  Rows come out with integer coefficients, positive leading
     coefficient, sorted by leading position.
     """
-    constraints = tuple(constraints)
+    constraints = _check_items(constraints, LinearConstraint, "constraint")
     if not constraints:
         return ()
     x = constraints[0].order
@@ -261,7 +265,7 @@ def _solve_values(constraints, x: int):
         raise ValueError(
             f"assignment enumeration is capped at order {MAX_SOLVE_ORDER}, got {_brief(x)}"
         )
-    constraints = tuple(constraints)
+    constraints = _check_items(constraints, LinearConstraint, "constraint")
     for c in constraints:
         if c.order != x:
             raise ValueError(
@@ -427,7 +431,8 @@ FAMILIES: dict[str, Family] = {
 
 def family_figure(family_id: str, variant: str = "c") -> SuperposedGrid:
     """The lettered pair grid of one variant of a family."""
-    family = FAMILIES.get(family_id)
+    # an id or variant that is not a str is unknown, though it may not hash
+    family = FAMILIES.get(family_id) if isinstance(family_id, str) else None
     if family is None:
         known = ", ".join(FAMILIES)
         raise ValueError(f"unknown family {_brief(family_id)} (known: {known})")
@@ -436,7 +441,7 @@ def family_figure(family_id: str, variant: str = "c") -> SuperposedGrid:
             f"{family_id} is a fixed square, not enumerable; use gen without "
             "letter values or variant, or editor_square()"
         )
-    if variant not in family.figures:
+    if not isinstance(variant, str) or variant not in family.figures:
         raise ValueError(
             f"variant {_brief(variant)} does not apply to {family_id} "
             f"(variants: {', '.join(family.figures)})"

@@ -9,7 +9,10 @@ from collections.abc import Iterator
 from itertools import permutations
 
 from . import construct
-from .model import Square, SuperposedGrid, _Record, _brief, _check_instance, _check_order, _rref, magic_constant
+from .model import (
+    Square, SuperposedGrid, _Record, _brief, _check_instance, _check_items, _check_order, _check_square, _rref,
+    magic_constant,
+)
 from .verify import _flat, _geometry, _is_magic, _picker, _unflat
 
 ORACLE_MAX_ORDER = 4
@@ -21,8 +24,10 @@ def dihedral_images(cells: Cells) -> tuple[Cells, ...]:
     """The eight rotations and reflections of a square's cells.
 
     In order: 0, 1, 2 and 3 clockwise quarter turns, each followed by its
-    left-right mirror image.  The first image is cells itself.
+    left-right mirror image.  The first image is cells itself, as a tuple
+    of tuple rows.
     """
+    cells = _check_square(cells, "square")
     x = len(cells)
     flat = _flat(cells)
     pickers = _geometry(x).symmetry_pickers[1:]
@@ -444,6 +449,7 @@ def subset_check(
 ) -> SubsetReport:
     """Verify every square a family yields is present in the oracle set."""
     order = construct.magic_figure(family_id, variant).order
+    oracle = set(_check_items(oracle, Square, "oracle square"))
     oracle_order = next(iter(oracle)).order if oracle else order
     if oracle_order != order:
         raise ValueError(f"family {family_id} has order {order}, oracle squares have order {oracle_order}")

@@ -28,6 +28,8 @@ class _Record:
     writes each field, in that order, into self.__dict__, which holds
     nothing else; any later assignment or deletion raises AttributeError.
     Records are equal only to records of the same class with equal fields.
+    A field that is an int past the interpreter's digit limit is shown as
+    _repr shows it.
 
     Every subclass's __init__ is generated from its annotations, compiled
     once per class: one parameter per field, with a class attribute of the
@@ -63,7 +65,7 @@ class _Record:
 
     def __repr__(self) -> str:
         fields = ", ".join(
-            f"{name}={value!r}" for name, value in self.__dict__.items()
+            f"{name}={_repr(value)}" for name, value in self.__dict__.items()
         )
         return f"{self.__class__.__qualname__}({fields})"
 
@@ -110,14 +112,19 @@ def _shorten(token: str) -> str:
 
 
 def _brief(value) -> str:
-    """_shorten(repr(value)), for a message, whatever the interpreter's digit limit.
+    """_shorten(repr(value)), for a message, whatever the interpreter's digit limit."""
+    return _shorten(_repr(value))
+
+
+def _repr(value) -> str:
+    """repr(value), whatever the interpreter's digit limit.
 
     The limit is at least 640 digits, so an int under 2,000 bits converts
     whole; a longer one is shown from its first and last 16 characters
     alone, computed by division, never converted whole.
     """
     if not isinstance(value, int) or value.bit_length() < 2000:
-        return _shorten(repr(value))
+        return repr(value)
     sign = "-" if value < 0 else ""
     value = abs(value)
     digits = (value.bit_length() - 1) * 30103 // 100000  # never more than its digit count
@@ -138,6 +145,18 @@ def _check_instance(value, cls: type, what: str) -> None:
         raise ValueError(f"{what} must be a {cls.__name__}, got {_brief(value)}")
 
 
+def _check_items(values, cls: type, what: str) -> tuple:
+    """values as a tuple of cls instances; a ValueError naming what if values is not iterable or an item is no cls."""
+    try:
+        items = iter(values)
+    except TypeError:
+        raise ValueError(f"{what}s must be an iterable of {cls.__name__}, got {_brief(values)}") from None
+    values = tuple(items)
+    for k, value in enumerate(values):
+        _check_instance(value, cls, f"{what} {k}")
+    return values
+
+
 def _check_integer(value, what: str) -> None:
     """Refuse anything but an int that is not a bool, naming what it is."""
     if not isinstance(value, int) or isinstance(value, bool):
@@ -156,16 +175,41 @@ def _shown(values) -> str:
     return "[" + ", ".join(map(_brief, values)) + "]"
 
 
-def _check_square(cells: tuple, what: str) -> int:
-    order = len(cells)
-    if order == 0:
+def _not_a_sequence(value, what: str) -> ValueError:
+    """The error for a value, named by what, that len() refuses."""
+    return ValueError(f"{what} must be a sequence, got {_brief(value)}")
+
+
+def _check_sequence(value, what: str) -> tuple:
+    """tuple(value), value itself if it is a tuple; a ValueError naming what if len() refuses value."""
+    try:
+        len(value)
+    except TypeError:
+        raise _not_a_sequence(value, what) from None
+    return tuple(value)
+
+
+def _check_square(cells, what: str) -> tuple:
+    """cells as a tuple of tuple rows, as many rows as cells in each.
+
+    That is cells itself when it and its rows are tuples.
+    """
+    try:
+        order = len(cells)
+    except TypeError:
+        raise _not_a_sequence(cells, f"{what} cells") from None
+    if not order:
         raise ValueError(f"{what} must have at least one row")
+    copy = cells.__class__ is not tuple
     for i, row in enumerate(cells):
-        if len(row) != order:
-            raise ValueError(
-                f"{what} row {i} has {len(row)} cells, expected {order}"
-            )
-    return order
+        try:
+            size = len(row)
+        except TypeError:
+            raise _not_a_sequence(row, f"{what} row {i}") from None
+        if size != order:
+            raise ValueError(f"{what} row {i} has {size} cells, expected {order}")
+        copy = copy or row.__class__ is not tuple
+    return tuple(map(tuple, cells)) if copy else cells
 
 
 def _check_index(idx, i: int, j: int, order: int) -> None:
@@ -197,10 +241,10 @@ class SymbolGrid(_Record, _Grid):
 
     def _post_init(self) -> None:
         _check_member(self.role, Role, "role")
-        order = _check_square(self.cells, "symbol grid")
-        for i, row in enumerate(self.cells):
+        self.__dict__["cells"] = cells = _check_square(self.cells, "symbol grid")
+        for i, row in enumerate(cells):
             for j, idx in enumerate(row):
-                _check_index(idx, i, j, order)
+                _check_index(idx, i, j, len(cells))
 
 
 class SuperposedGrid(_Record, _Grid):
@@ -209,13 +253,20 @@ class SuperposedGrid(_Record, _Grid):
     cells: tuple[tuple[tuple[int, int], ...], ...]
 
     def _post_init(self) -> None:
-        order = _check_square(self.cells, "superposed grid")
-        for i, row in enumerate(self.cells):
+        rows = _check_square(self.cells, "superposed grid")
+        copy = False
+        for i, row in enumerate(rows):
             for j, pair in enumerate(row):
-                if len(pair) != 2:
+                try:
+                    size = len(pair)
+                except TypeError:
+                    raise _not_a_sequence(pair, f"cell ({i}, {j}) pair") from None
+                if size != 2:
                     raise ValueError(f"cell ({i}, {j}) must hold a pair")
                 for idx in pair:
-                    _check_index(idx, i, j, order)
+                    _check_index(idx, i, j, len(rows))
+                copy = copy or pair.__class__ is not tuple
+        self.__dict__["cells"] = tuple(tuple(map(tuple, row)) for row in rows) if copy else rows
 
     def latin_component(self) -> SymbolGrid:
         return self._component(Role.LATIN, 0)
@@ -240,7 +291,9 @@ class ValueAssignment(_Record):
     greek_values: tuple[int, ...]
 
     def _post_init(self) -> None:
-        latin, greek = self.latin_values, self.greek_values
+        latin = _check_sequence(self.latin_values, "latin values")
+        greek = _check_sequence(self.greek_values, "greek values")
+        self.__dict__.update(latin_values=latin, greek_values=greek)
         x = len(latin)
         if len(greek) != x:
             raise ValueError(
@@ -276,8 +329,8 @@ class Square(_Record, _Grid):
     cells: tuple[tuple[int, ...], ...]
 
     def _post_init(self) -> None:
-        _check_square(self.cells, "square")
-        for i, row in enumerate(self.cells):
+        self.__dict__["cells"] = cells = _check_square(self.cells, "square")
+        for i, row in enumerate(cells):
             for j, value in enumerate(row):
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise ValueError(f"cell ({i}, {j}) is not an integer")

@@ -26,6 +26,7 @@ from .model import (
     _check_integer,
     _check_member,
     _check_order,
+    _check_sequence,
     magic_constant,
 )
 
@@ -323,7 +324,7 @@ def verify_orthogonality(pairs: SuperposedGrid) -> OrthogonalityReport:
     """Check pair uniqueness; duplicates come with their cell positions."""
     _check_instance(pairs, SuperposedGrid, "pairs")
     x = pairs.order
-    flat = tuple(tuple(pair) for row in pairs.cells for pair in row)
+    flat = _flat(pairs.cells)
     duplicates = _repeats((pair, divmod(k, x)) for k, pair in enumerate(flat))
     seen = set(flat)
     missing = tuple(
@@ -353,6 +354,9 @@ class OrthogonalityError(ValueError):
 
 def pair_name(pair: tuple[int, int]) -> str:
     """Compact letter form of a (latin, greek) index pair, e.g. 'bβ'."""
+    pair = _check_sequence(pair, "pair")
+    if len(pair) != 2:
+        raise ValueError(f"pair must hold a latin and a greek index, got {_brief(pair)}")
     return (
         SymbolId(Role.LATIN, pair[0]).letter
         + SymbolId(Role.GREEK, pair[1]).letter

@@ -310,6 +310,13 @@ def test_letter_and_line_names_shorten_an_index_past_the_digit_limit(digit_limit
     assert pair_name((HUGE, 0)) == f"latin{HUGE_TEXT}α"
 
 
+def test_record_repr_shortens_an_integer_field_past_the_digit_limit(digit_limit_4300):
+    assert repr(LineId(LineKind.ROW, HUGE)) == f"LineId(kind=<LineKind.ROW: 'row'>, index={HUGE_TEXT})"
+    assert repr(SymbolId(Role.GREEK, HUGE)) == f"SymbolId(role=<Role.GREEK: 'greek'>, index={HUGE_TEXT})"
+    # a field under 2,000 bits is shown whole, as repr shows it
+    assert repr(LineId(LineKind.ROW, 10 ** 600)) == f"LineId(kind=<LineKind.ROW: 'row'>, index={10 ** 600})"
+
+
 @given(st.integers(1, 3000).flatmap(lambda d: st.integers(10 ** (d - 1), 10 ** d - 1)), st.sampled_from([1, -1]))
 def test_brief_shows_an_integer_as_shorten_does(magnitude, sign):
     value = sign * magnitude

@@ -5,6 +5,7 @@ import inspect
 import pytest
 
 from latinmagic import (
+    FAMILIES,
     Axis,
     CanonicalSquare,
     Family,
@@ -25,15 +26,25 @@ from latinmagic import (
     VerificationReport,
     all_lines,
     build_square,
+    census,
     compose,
+    constraint_system_basis,
     decompose,
     diagonal_constraints,
+    dihedral_images,
+    enumerate_family,
+    equivalent_systems,
     evaluate,
+    family_figure,
     line_positions,
     magic_constant,
+    magic_figure,
+    oracle_search,
+    pair_name,
     reflect_greek,
     rotate_lines,
     solve_assignments,
+    subset_check,
     superpose,
     verify_latin,
     verify_magic,
@@ -64,6 +75,17 @@ SAMPLES = {
 }
 
 RECORDS = list(SAMPLES)
+
+# the records whose fields are containers, each built from lists equal to its sample's tuples
+LIST_ARGS = {
+    SymbolGrid: lambda: (Role.GREEK, [[0, 1], [1, 0]]),
+    SuperposedGrid: lambda: ([[[0, 0], [1, 1]], [[1, 0], [0, 1]]],),
+    ValueAssignment: lambda: ([0, 3, 6], [1, 2, 3]),
+    Square: lambda: ([[2, 9, 4], [7, 5, 3], [6, 1, 8]],),
+    LinearConstraint: lambda: ([1, -1], [0, 0]),
+}
+
+UNKNOWN_LIST_ID = f"unknown family ['x'] (known: {', '.join(FAMILIES)})"
 
 
 def fields(cls) -> list[str]:
@@ -155,6 +177,46 @@ def test_records_work_as_keys():
     sums = {LineId(LineKind.ROW, i): i for i in range(3)}
     assert sums[LineId(LineKind.ROW, 2)] == 2
     assert Square(LO_SHU) in {Square(tuple(map(tuple, map(list, LO_SHU))))}
+
+
+def _empty(value) -> None:
+    """Clear a list and every list inside it."""
+    if isinstance(value, list):
+        for item in value:
+            _empty(item)
+        value.clear()
+
+
+def _tuples_throughout(value) -> bool:
+    return not isinstance(value, list) and (
+        not isinstance(value, tuple) or all(map(_tuples_throughout, value))
+    )
+
+
+@pytest.mark.parametrize("cls", list(LIST_ARGS), ids=lambda c: c.__name__)
+def test_records_built_from_lists_keep_tuples(cls):
+    args = LIST_ARGS[cls]()
+    record = cls(*args)
+    assert record == sample(cls) and sample(cls) == record
+    assert hash(record) == hash(sample(cls))
+    assert record in {sample(cls)}
+    assert all(map(_tuples_throughout, vars(record).values()))
+    # the caller's lists are copied, not kept
+    for arg in args:
+        _empty(arg)
+    assert record == sample(cls)
+    # fields given as tuples throughout are kept as the same objects
+    for name, value in zip(fields(cls), SAMPLES[cls]):
+        assert getattr(sample(cls), name) is value
+
+
+def test_a_square_built_from_lists_is_a_value():
+    square = Square([[2, 9, 4], [7, 5, 3], [6, 1, 8]])
+    assert square in oracle_search(3)
+    with pytest.raises(TypeError):
+        square.cells[0][0] = 99
+    assert verify_magic(square).verdict is Verdict.MAGIC
+    assert LinearConstraint([1, -1, 0], [0, 0, 0]).latin_side().vector() == (1, -1, 0, 0, 0, 0)
 
 
 def test_family_hashes_despite_its_figures_dict():
@@ -437,6 +499,128 @@ def test_records_refuse_assignment_and_deletion(cls):
             lambda: build_square("e3.reflect", None),
             "assignment must be a ValueAssignment, got None",
             id="build_square-assignment-None",
+        ),
+        # a container field that len() refuses, one row per field
+        pytest.param(lambda: Square(None), "square cells must be a sequence, got None", id="Square-cells-None"),
+        pytest.param(
+            lambda: SymbolGrid(Role.LATIN, 5), "symbol grid cells must be a sequence, got 5", id="SymbolGrid-cells-5",
+        ),
+        pytest.param(
+            lambda: SuperposedGrid(2.5), "superposed grid cells must be a sequence, got 2.5", id="SuperposedGrid-cells-2.5",
+        ),
+        pytest.param(
+            lambda: ValueAssignment(None, (1,)), "latin values must be a sequence, got None",
+            id="ValueAssignment-latin_values-None",
+        ),
+        pytest.param(
+            lambda: ValueAssignment((0,), 5), "greek values must be a sequence, got 5",
+            id="ValueAssignment-greek_values-5",
+        ),
+        pytest.param(
+            lambda: LinearConstraint(None, (0,)), "latin coefficients must be a sequence, got None",
+            id="LinearConstraint-latin-None",
+        ),
+        pytest.param(
+            lambda: LinearConstraint((0,), 2.5), "greek coefficients must be a sequence, got 2.5",
+            id="LinearConstraint-greek-2.5",
+        ),
+        pytest.param(
+            lambda: Square([(1, 2), None]), "square row 1 must be a sequence, got None", id="Square-row-None",
+        ),
+        pytest.param(
+            lambda: SuperposedGrid([[None]]), "cell (0, 0) pair must be a sequence, got None",
+            id="SuperposedGrid-pair-None",
+        ),
+        # a family id or variant that does not hash is unknown, as None is
+        pytest.param(lambda: family_figure(["x"]), UNKNOWN_LIST_ID, id="family_figure-family_id-list"),
+        pytest.param(
+            lambda: family_figure("e4.diag", ["x"]),
+            "variant ['x'] does not apply to e4.diag (variants: c, d)",
+            id="family_figure-variant-list",
+        ),
+        pytest.param(lambda: magic_figure(["x"]), UNKNOWN_LIST_ID, id="magic_figure-family_id-list"),
+        pytest.param(
+            lambda: magic_figure("e3.reflect", ["x"]),
+            "variant ['x'] does not apply to e3.reflect (variants: c)",
+            id="magic_figure-variant-list",
+        ),
+        pytest.param(
+            lambda: build_square(["x"], sample(ValueAssignment)), UNKNOWN_LIST_ID, id="build_square-family_id-list",
+        ),
+        pytest.param(
+            lambda: build_square("e3.reflect", sample(ValueAssignment), ["x"]),
+            "variant ['x'] does not apply to e3.reflect (variants: c)",
+            id="build_square-variant-list",
+        ),
+        pytest.param(lambda: census(["x"]), UNKNOWN_LIST_ID, id="census-family_id-list"),
+        pytest.param(
+            lambda: census("e3.reflect", ["x"]),
+            "variant ['x'] does not apply to e3.reflect (variants: c)",
+            id="census-variant-list",
+        ),
+        pytest.param(lambda: next(enumerate_family(["x"])), UNKNOWN_LIST_ID, id="enumerate_family-family_id-list"),
+        pytest.param(
+            lambda: next(enumerate_family("e3.reflect", ["x"])),
+            "variant ['x'] does not apply to e3.reflect (variants: c)",
+            id="enumerate_family-variant-list",
+        ),
+        pytest.param(lambda: subset_check(["x"], set()), UNKNOWN_LIST_ID, id="subset_check-family_id-list"),
+        pytest.param(
+            lambda: subset_check("e3.reflect", set(), ["x"]),
+            "variant ['x'] does not apply to e3.reflect (variants: c)",
+            id="subset_check-variant-list",
+        ),
+        # constraint systems, the oracle set, cells and pairs of the wrong shape
+        pytest.param(
+            lambda: constraint_system_basis(None),
+            "constraints must be an iterable of LinearConstraint, got None",
+            id="constraint_system_basis-None",
+        ),
+        pytest.param(
+            lambda: constraint_system_basis(["x"]),
+            "constraint 0 must be a LinearConstraint, got 'x'",
+            id="constraint_system_basis-item",
+        ),
+        pytest.param(
+            lambda: equivalent_systems(None, ()),
+            "constraints must be an iterable of LinearConstraint, got None",
+            id="equivalent_systems-first-None",
+        ),
+        pytest.param(
+            lambda: equivalent_systems((), [None]),
+            "constraint 0 must be a LinearConstraint, got None",
+            id="equivalent_systems-second-item",
+        ),
+        pytest.param(
+            lambda: next(solve_assignments(5, 3)),
+            "constraints must be an iterable of LinearConstraint, got 5",
+            id="solve_assignments-constraints-5",
+        ),
+        pytest.param(
+            lambda: next(solve_assignments([(1, -1)], 2)),
+            "constraint 0 must be a LinearConstraint, got (1, -1)",
+            id="solve_assignments-constraints-item",
+        ),
+        pytest.param(
+            lambda: subset_check("e3.reflect", None),
+            "oracle squares must be an iterable of Square, got None",
+            id="subset_check-oracle-None",
+        ),
+        pytest.param(
+            lambda: subset_check("e3.reflect", [LO_SHU]),
+            "oracle square 0 must be a Square, got ((2, 9, 4), (7, 5, 3), (6, 1, 8))",
+            id="subset_check-oracle-item",
+        ),
+        pytest.param(
+            lambda: dihedral_images(None), "square cells must be a sequence, got None", id="dihedral_images-None",
+        ),
+        pytest.param(
+            lambda: dihedral_images(((1, 2), (3,))), "square row 1 has 1 cells, expected 2",
+            id="dihedral_images-ragged",
+        ),
+        pytest.param(lambda: pair_name(None), "pair must be a sequence, got None", id="pair_name-None"),
+        pytest.param(
+            lambda: pair_name(()), "pair must hold a latin and a greek index, got ()", id="pair_name-empty",
         ),
     ],
 )

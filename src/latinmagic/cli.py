@@ -13,6 +13,7 @@ import gc
 import os
 import re
 import sys
+from itertools import islice
 from math import isqrt
 
 from . import construct, enumeration
@@ -26,6 +27,7 @@ class SquareParseError(ValueError):
 
 # the values of --format; every format but text is structured
 _FORMATS = ("text", "structured")
+_BLOCK = 256  # the squares a listing joins into one write
 
 
 # CPython's default int_max_str_digits: longer integers are refused on
@@ -367,8 +369,8 @@ def _csv_ints(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _print_squares(flats, fmt: str, header: dict) -> None:
-    """Audited row-major squares as grids separated by blank lines, streamed,
-    or as one structured document.
+    """Audited row-major squares as grids separated by blank lines, or as one
+    structured document, written in blocks of _BLOCK squares, one write per block.
 
     Every square of a listing has the first one's order x and holds
     1..x*x, so one %-template prints them all: in text each value is
@@ -382,22 +384,19 @@ def _print_squares(flats, fmt: str, header: dict) -> None:
             print(_json_text({**header, "count": 0, "squares": []}))
         return
     x = isqrt(len(first))
+    head, square, separator, tail = "", _grid_template(x, len(str(x * x))), "\n\n", ""
     if fmt != "text":
-        listed = [first, *flats]
+        flats = iter(rest := list(flats))
         row = "[\n" + ",\n".join(["        %d"] * x) + "\n      ]"
         square = "[\n" + ",\n".join(["      " + row] * x) + "\n    ]"
-        # json.dumps(indent=2) ends a non-empty object with "\n}"; the
-        # squares go in as its last key
-        head = _json_text({**header, "count": len(listed)}).removesuffix("\n}")
-        body = ",\n    ".join([square % flat for flat in listed])
-        print(head + ',\n  "squares": [\n    ' + body + "\n  ]\n}")
-        return
-    grid = _grid_template(x, len(str(x * x)))
-    write = sys.stdout.write
-    write(grid % first + "\n")
-    grid = "\n" + grid + "\n"
-    for flat in flats:
-        write(grid % flat)
+        # the squares go where json.dumps(indent=2) puts two placeholders, its last values
+        document = _json_text({**header, "count": 1 + len(rest), "squares": [None, None]})
+        head, separator, tail = document.rsplit("null", 2)
+    sys.stdout.write(head + square % first)
+    square = separator + square
+    while block := [square % flat for flat in islice(flats, _BLOCK)]:
+        sys.stdout.write("".join(block))
+    sys.stdout.write(tail + "\n")
 
 
 def _cmd_gen(args) -> int:
@@ -471,9 +470,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_families(args) -> int:
-    width = max(len(family_id) for family_id in construct.FAMILIES)
-    for family in construct.FAMILIES.values():
-        print(f"{family.family_id.ljust(width)}  order {family.order}  {family.summary}")
+    families = construct.FAMILIES.values()
+    width = max(len(f.family_id) for f in families)
+    print("\n".join(f"{f.family_id.ljust(width)}  order {f.order}  {f.summary}" for f in families))
     return 0
 
 

@@ -450,8 +450,8 @@ def subset_check(
     """Verify every square a family yields is present in the oracle set."""
     order = construct.magic_figure(family_id, variant).order
     oracle = set(_check_items(oracle, Square, "oracle square"))
-    oracle_order = next(iter(oracle)).order if oracle else order
-    if oracle_order != order:
-        raise ValueError(f"family {family_id} has order {order}, oracle squares have order {oracle_order}")
+    other = next((square.order for square in oracle if square.order != order), None)
+    if other is not None:
+        raise ValueError(f"family {family_id} has order {order}, oracle squares have order {other}")
     missing = tuple(square for square in enumerate_family(family_id, variant=variant) if square not in oracle)
     return SubsetReport(ok=not missing, missing=missing)

@@ -775,6 +775,46 @@ def test_listing_templates_match_grid_text_and_json(flats):
         assert out.getvalue() == text
 
 
+@pytest.mark.parametrize("fmt", cli_module._FORMATS)
+@pytest.mark.parametrize("x", [1, 3, 4, 10])
+@pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+def test_block_writer_matches_grid_text_and_json_at_block_edges(x, blocks, extra, fmt):
+    # square k holds 1..x*x shifted by k, so neighbouring squares differ
+    flats = [tuple((v + k) % (x * x) + 1 for v in range(x * x)) for k in range(blocks * cli_module._BLOCK + extra)]
+    grids = [_unflat(flat, x) for flat in flats]
+    header = {"order": x}
+    if fmt == "text":
+        expected = "\n\n".join(cli_module._grid_text(cells) for cells in grids) + "\n" if grids else ""
+    else:
+        squares = [[list(row) for row in cells] for cells in grids]
+        expected = json.dumps({**header, "count": len(grids), "squares": squares}, indent=2) + "\n"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli_module._print_squares(iter(flats), fmt, header)
+    assert out.getvalue() == expected
+
+
+class _CountingStdout(io.StringIO):
+    """A stdout that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", sorted(E5_DIHEDRAL_DIGESTS))
+def test_listing_takes_one_write_per_block(fmt):
+    # 3,600 classes: the head with the first square, ceil(3599 / _BLOCK) blocks, the tail
+    out = _CountingStdout()
+    with contextlib.redirect_stdout(out):
+        code = run(["enumerate", "--family", "e5.diag", "--dedup", "dihedral", "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == E5_DIHEDRAL_DIGESTS[fmt]
+    assert out.writes <= -(-3600 // cli_module._BLOCK) + 2
+
+
 @given(st.integers(1, 6).flatmap(
     lambda x: st.lists(st.lists(st.integers(), min_size=x, max_size=x), min_size=x, max_size=x)
 ))

@@ -1063,3 +1063,12 @@ def test_subset_check_reports_missing_squares():
 def test_subset_check_rejects_order_mismatch(oracle3):
     with pytest.raises(ValueError, match="order"):
         subset_check("e4.diag", oracle3)
+
+
+@pytest.mark.parametrize("stray", [Square(((1,),)), load_square("golden_e4_rotated.txt")], ids=["order1", "order4"])
+def test_subset_check_rejects_an_oracle_that_mixes_orders(oracle3, stray):
+    # every square's order is checked, not only the one the set yields first
+    message = f"family e3.reflect has order 3, oracle squares have order {stray.order}"
+    for oracle in (oracle3 | {stray}, {stray} | oracle3, {stray}):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            subset_check("e3.reflect", oracle)

@@ -780,7 +780,8 @@ def test_listing_templates_match_grid_text_and_json(flats):
 @pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
 def test_block_writer_matches_grid_text_and_json_at_block_edges(x, blocks, extra, fmt):
     # square k holds 1..x*x shifted by k, so neighbouring squares differ
-    flats = [tuple((v + k) % (x * x) + 1 for v in range(x * x)) for k in range(blocks * cli_module._BLOCK + extra)]
+    size = blocks * cli_module._BLOCK + extra
+    flats = [tuple((v + k) % (x * x) + 1 for v in range(x * x)) for k in range(size)]
     grids = [_unflat(flat, x) for flat in flats]
     header = {"order": x}
     if fmt == "text":

@@ -387,8 +387,7 @@ def _print_squares(flats, fmt: str, header: dict) -> None:
     head, square, separator, tail = "", _grid_template(x, len(str(x * x))), "\n\n", ""
     if fmt != "text":
         flats = iter(rest := list(flats))
-        row = "[\n" + ",\n".join(["        %d"] * x) + "\n      ]"
-        square = "[\n" + ",\n".join(["      " + row] * x) + "\n    ]"
+        square = _json_text([[None] * x] * x).replace("null", "%d").replace("\n", "\n    ")
         # the squares go where json.dumps(indent=2) puts two placeholders, its last values
         document = _json_text({**header, "count": 1 + len(rest), "squares": [None, None]})
         head, separator, tail = document.rsplit("null", 2)
@@ -539,12 +538,9 @@ def run(argv: list[str] | None = None) -> int:
         # to devnull so the interpreter's final flush stays silent too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except OrthogonalityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, OrthogonalityError) else 2
 
 
 def main() -> None:

@@ -37,6 +37,7 @@ from .verify import (
     OrthogonalityError,
     _flat,
     _geometry,
+    _grouped,
     _unflat,
     verify_orthogonality,
 )
@@ -277,13 +278,10 @@ def _solve_values(constraints, x: int):
     # A pair satisfies a constraint when the latin part's contribution is
     # the exact negative of the greek part's, so bucket greek permutations
     # by their contribution vector and look latin ones up against it.
-    buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for greek in itertools.permutations(greek_domain):
-        key = tuple(
-            sum(c * v for c, v in zip(constraint.greek, greek))
-            for constraint in constraints
-        )
-        buckets.setdefault(key, []).append(greek)
+    buckets = _grouped(
+        (tuple(sum(c * v for c, v in zip(constraint.greek, greek)) for constraint in constraints), greek)
+        for greek in itertools.permutations(greek_domain)
+    )
     for latin in itertools.permutations(latin_domain):
         need = tuple(
             -sum(c * v for c, v in zip(constraint.latin, latin))
@@ -295,24 +293,18 @@ def _solve_values(constraints, x: int):
 
 # --- figure families -------------------------------------------------------
 
+def _letter_grid(text: str, read) -> tuple[tuple, ...]:
+    """The rows of whitespace-separated tokens written in text, each token as read(token)."""
+    return tuple(tuple(map(read, line.split())) for line in text.strip().splitlines())
+
+
 def _pair_grid(text: str) -> SuperposedGrid:
-    cells = tuple(
-        tuple(
-            (LATIN_LETTERS.index(token[0]), GREEK_LETTERS.index(token[1]))
-            for token in line.split()
-        )
-        for line in text.strip().splitlines()
-    )
-    return SuperposedGrid(cells)
+    return SuperposedGrid(_letter_grid(text, lambda token: (LATIN_LETTERS.index(token[0]), GREEK_LETTERS.index(token[1]))))
 
 
 def _mirrored(text: str, axis: Axis) -> SuperposedGrid:
     """The Latin grid written in text, superposed on its own mirror image as the Greek part."""
-    cells = tuple(
-        tuple(map(LATIN_LETTERS.index, line.split()))
-        for line in text.strip().splitlines()
-    )
-    latin = SymbolGrid(Role.LATIN, cells)
+    latin = SymbolGrid(Role.LATIN, _letter_grid(text, LATIN_LETTERS.index))
     return superpose(latin, reflect_greek(latin, axis))
 
 

@@ -13,7 +13,7 @@ from .model import (
     Square, SuperposedGrid, _Record, _brief, _check_instance, _check_items, _check_order, _check_square, _rref,
     magic_constant,
 )
-from .verify import _flat, _geometry, _is_magic, _picker, _unflat
+from .verify import _flat, _geometry, _grouped, _is_magic, _picker, _unflat
 
 ORACLE_MAX_ORDER = 4
 
@@ -51,15 +51,7 @@ def _classes(flats, x: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     Keys and each key's members come in first-seen order.  The keyed
     reference for _automorphisms and _oracle_classes.
     """
-    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for flat in flats:
-        key = _canonical_flat(flat, x)
-        members = classes.get(key)
-        if members is None:
-            classes[key] = [flat]
-        else:
-            members.append(flat)
-    return classes
+    return _grouped((_canonical_flat(flat, x), flat) for flat in flats)
 
 
 def canonicalize(square: Square) -> CanonicalSquare:

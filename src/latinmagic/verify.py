@@ -211,12 +211,17 @@ def _unflat(flat: tuple[int, ...], x: int) -> tuple[tuple[int, ...], ...]:
     return tuple(flat[k:k + x] for k in range(0, x * x, x))
 
 
+def _grouped(keyed: Iterable[tuple]) -> dict:
+    """(key, item) pairs as {key: [items]}, with keys and each key's items in first-seen order."""
+    groups: dict = {}
+    for key, item in keyed:
+        groups.setdefault(key, []).append(item)
+    return groups
+
+
 def _repeats(keyed: Iterable[tuple]) -> tuple[tuple, ...]:
     """Every key held at two or more positions, as (key, positions), in key order."""
-    places: dict = {}
-    for key, position in keyed:
-        places.setdefault(key, []).append(position)
-    return tuple((key, tuple(at)) for key, at in sorted(places.items()) if len(at) > 1)
+    return tuple((key, tuple(at)) for key, at in sorted(_grouped(keyed).items()) if len(at) > 1)
 
 
 def line_sums(square: Square) -> dict[LineId, int]:

@@ -375,7 +375,8 @@ def _print_squares(flats, fmt: str, header: dict) -> None:
     Every square of a listing has the first one's order x and holds
     1..x*x, so one %-template prints them all: in text each value is
     right-aligned to the width of x*x, as _grid_text aligns it, and the
-    structured squares are laid out as json.dumps(indent=2) lays them out.
+    structured square is json.dumps(indent=2) of an x-by-x grid of None,
+    with each null made %d and each line indented to the square's depth.
     """
     flats = iter(flats)
     first = next(flats, None)

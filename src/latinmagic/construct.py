@@ -170,10 +170,7 @@ class LinearConstraint(_Record):
     def __str__(self) -> str:
         left: list[str] = []
         right: list[str] = []
-        for role, letters, coeffs in (
-            (Role.LATIN, LATIN_LETTERS, self.latin),
-            (Role.GREEK, GREEK_LETTERS, self.greek),
-        ):
+        for role, coeffs in ((Role.LATIN, self.latin), (Role.GREEK, self.greek)):
             for index, coeff in enumerate(coeffs):
                 if coeff == 0:
                     continue

@@ -38,6 +38,9 @@ class LineKind(Enum):
     ANTI_DIAGONAL = "anti diagonal"
 
 
+_DIAGONALS = (LineKind.MAIN_DIAGONAL, LineKind.ANTI_DIAGONAL)
+
+
 class Axis(Enum):
     """Mirror axis used to derive a Greek component from a Latin one."""
 
@@ -48,7 +51,7 @@ class Axis(Enum):
 
 
 class LineId(_Record):
-    """One of the 2x+2 lines of an order-x square."""
+    """One of the 2x+2 lines of an order-x square; a diagonal's index is 0."""
 
     kind: LineKind
     index: int = 0
@@ -56,14 +59,13 @@ class LineId(_Record):
     def _post_init(self) -> None:
         _check_member(self.kind, LineKind, "kind")
         _check_integer(self.index, "line index")
+        if self.kind in _DIAGONALS and self.index != 0:
+            raise ValueError(f"{self.kind.value} index must be 0, got {_brief(self.index)}")
 
     def __str__(self) -> str:
         if self.kind in (LineKind.ROW, LineKind.COLUMN):
             return f"{self.kind.value} {_brief(self.index)}"
         return self.kind.value
-
-
-_DIAGONALS = (LineKind.MAIN_DIAGONAL, LineKind.ANTI_DIAGONAL)
 
 
 class Verdict(Enum):

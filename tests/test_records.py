@@ -618,6 +618,16 @@ def test_records_refuse_assignment_and_deletion(cls):
             lambda: dihedral_images(((1, 2), (3,))), "square row 1 has 1 cells, expected 2",
             id="dihedral_images-ragged",
         ),
+        # a diagonal has one line, index 0; any other index names no line of the square
+        pytest.param(
+            lambda: LineId(LineKind.MAIN_DIAGONAL, 5), "main diagonal index must be 0, got 5",
+            id="LineId-main-diagonal-5",
+        ),
+        pytest.param(
+            lambda: LineId(LineKind.ANTI_DIAGONAL, -10 ** 600),
+            "anti diagonal index must be 0, got -100000000000000...0000000000000000",
+            id="LineId-anti-diagonal-huge",
+        ),
         pytest.param(lambda: pair_name(None), "pair must be a sequence, got None", id="pair_name-None"),
         pytest.param(
             lambda: pair_name(()), "pair must hold a latin and a greek index, got ()", id="pair_name-empty",

@@ -29,7 +29,7 @@ from latinmagic import (
     verify_magic,
     verify_orthogonality,
 )
-from latinmagic.verify import _flat, _geometry, _is_magic
+from latinmagic.verify import _flat, _geometry, _grouped, _is_magic, _repeats
 from helpers import (
     FIGURES,
     GOLDENS,
@@ -465,3 +465,20 @@ def test_verify_latin_matches_reference(grid, include_diagonals):
 @given(pair_grids())
 def test_verify_orthogonality_matches_reference(pairs):
     assert verify_orthogonality(pairs) == reference_verify_orthogonality(pairs)
+
+
+# keys and items that compare in the opposite order to the one they come in
+KEYED = [(3, "z"), (1, "y"), (3, "x"), (2, "w"), (1, "v"), (3, "u")]
+
+
+def test_grouping_keeps_keys_and_items_in_first_seen_order():
+    grouped = _grouped(iter(KEYED))
+    assert list(grouped) == [3, 1, 2]
+    assert grouped == {3: ["z", "x", "u"], 1: ["y", "v"], 2: ["w"]}
+    assert _grouped([]) == {}
+
+
+def test_repeats_sorts_the_grouping_and_keeps_keys_held_twice():
+    assert _repeats(KEYED) == ((1, ("y", "v")), (3, ("z", "x", "u")))
+    assert _repeats([(2, "w"), (1, "v")]) == ()
+    assert _repeats([]) == ()
